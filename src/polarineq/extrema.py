@@ -29,6 +29,7 @@ __all__ = ["CircleExtremum", "ToleranceUnattainableError", "circle_extremum"]
 
 _MAX_GRID = 2**22
 _MAX_CANDIDATES = 1024
+_BLOCK = 2**14
 
 
 class ToleranceUnattainableError(ValueError):
@@ -52,11 +53,17 @@ def _abs_sq_fourier(coeffs: np.ndarray, r: float) -> np.ndarray:
 
 
 def _vector_eval_sq(coeffs: np.ndarray, r: float, theta: np.ndarray) -> np.ndarray:
-    z = r * np.exp(1j * theta)
-    acc = np.zeros(z.shape, dtype=complex)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return np.abs(acc) ** 2
+    # Horner over blocks of _BLOCK angles, so the complex temporaries stay
+    # cache-sized; every element is computed exactly as in one whole-array pass.
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty(theta.shape)
+    for start in range(0, len(theta), _BLOCK):
+        z = r * np.exp(1j * theta[start:start + _BLOCK])
+        acc = np.zeros(z.shape, dtype=complex)
+        for c in coeffs[::-1]:
+            acc = acc * z + c
+        out[start:start + _BLOCK] = np.abs(acc) ** 2
+    return out
 
 
 def _ternary(f, lo: float, hi: float, maximize: bool, iters: int = 90):

@@ -698,25 +698,43 @@ def _effective_radii(defn: InequalityDef, radii) -> tuple[float, ...]:
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(g, lo: float, hi: float, iters: int = 60):
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    gc, gd = g(c), g(d)
-    best_v, best_t = (gc, c) if gc <= gd else (gd, d)
+def _golden_min_lockstep(g, los, his, iters: int = 60):
+    """Golden-section minimization of several independent brackets at once.
+
+    ``g(rows, thetas)`` returns a list of floats, the value at ``thetas[j]``
+    for bracket ``rows[j]``.  Each bracket runs the scalar golden-section
+    arithmetic and comparisons unchanged; only the evaluations are batched:
+    one call for every bracket's two interior points, then one call per step.
+    Returns ``(best_value, best_theta)`` per bracket.
+    """
+    m = len(los)
+    los, his = [float(x) for x in los], [float(x) for x in his]
+    cs = [hi - _INV_PHI * (hi - lo) for lo, hi in zip(los, his)]
+    ds = [lo + _INV_PHI * (hi - lo) for lo, hi in zip(los, his)]
+    rows = list(range(m))
+    vals = g(rows + rows, cs + ds)
+    gcs, gds = vals[:m], vals[m:]
+    best = [(gc, c) if gc <= gd else (gd, d) for gc, gd, c, d in zip(gcs, gds, cs, ds)]
     for _ in range(iters):
-        if gc <= gd:
-            hi, d, gd = d, c, gc
-            c = hi - _INV_PHI * (hi - lo)
-            gc = g(c)
-            if gc < best_v:
-                best_v, best_t = gc, c
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _INV_PHI * (hi - lo)
-            gd = g(d)
-            if gd < best_v:
-                best_v, best_t = gd, d
-    return best_v, best_t
+        left = [gc <= gd for gc, gd in zip(gcs, gds)]
+        for j in rows:
+            if left[j]:
+                his[j], ds[j], gds[j] = ds[j], cs[j], gcs[j]
+                cs[j] = his[j] - _INV_PHI * (his[j] - los[j])
+            else:
+                los[j], cs[j], gcs[j] = cs[j], ds[j], gds[j]
+                ds[j] = los[j] + _INV_PHI * (his[j] - los[j])
+        new = [cs[j] if left[j] else ds[j] for j in rows]
+        vals = g(rows, new)
+        for j in rows:
+            v = vals[j]
+            if left[j]:
+                gcs[j] = v
+            else:
+                gds[j] = v
+            if v < best[j][0]:
+                best[j] = (v, new[j])
+    return best
 
 
 def check_inequality(
@@ -728,9 +746,11 @@ def check_inequality(
     """Sweep z over the def's domain and report the minimal oriented slack.
 
     Grids of ``angles_per_radius`` points per radius are refined by
-    golden-section minimization around the five smallest grid slacks.  For
-    unit-circle entries only the radius-1 slice is swept; parameter-only
-    entries evaluate once.
+    golden-section minimization around the five smallest grid slacks.  The
+    five searches run in lockstep: each step evaluates all five new points
+    in one batched side evaluation, with each search's bracket arithmetic
+    unchanged.  For unit-circle entries only the radius-1 slice is swept;
+    parameter-only entries evaluate once.
     """
     defn = inst.defn
     if tol_rel <= 0:
@@ -783,16 +803,20 @@ def check_inequality(
         extra["min_term_sign_counts"] = {"neg": neg_count, "nonneg": nonneg_count}
 
     candidates.sort(key=lambda c: c[0])
+    top = candidates[:5]
     width = 2.0 * np.pi / angles_per_radius
-    best_slack, best_z = math.inf, None
-    for slack0, r, th0 in candidates[:5]:
-        def g(th, _r=r):
-            zz = np.asarray([_r * complex(math.cos(th), math.sin(th))])
-            lh, rh = defn.sides(inst, zz)
-            return float(_oriented_slack(defn, float(np.asarray(lh).reshape(-1)[0]),
-                                         float(np.asarray(rh).reshape(-1)[0])))
 
-        val, th = _golden_min(g, th0 - width, th0 + width)
+    def g(rows, ts):
+        zz = np.asarray([top[j][1] * complex(math.cos(t), math.sin(t))
+                         for j, t in zip(rows, ts)])
+        lh, rh = defn.sides(inst, zz)
+        slack = _oriented_slack(defn, np.asarray(lh, dtype=float), np.asarray(rh, dtype=float))
+        return np.broadcast_to(slack, zz.shape).tolist()
+
+    refined = _golden_min_lockstep(g, [th0 - width for _, _, th0 in top],
+                                   [th0 + width for _, _, th0 in top])
+    best_slack, best_z = math.inf, None
+    for (slack0, r, th0), (val, th) in zip(top, refined):
         samples += 2 + 60
         for v, t in ((val, th), (slack0, th0)):
             if v < best_slack:
@@ -877,12 +901,14 @@ def sharpness_probe(
         rel = rel_slack_arr(r * np.exp(1j * theta))
         order = np.argsort(rel)[:3]
         best = min(best, float(rel[order[0]]))
-        for i in order:
-            def g(th, _r=r):
-                return float(rel_slack_arr(np.asarray(
-                    [_r * complex(math.cos(th), math.sin(th))]
-                ))[0])
 
-            val, _ = _golden_min(g, float(theta[i]) - width, float(theta[i]) + width)
+        def g(rows, ts):
+            return rel_slack_arr(np.asarray(
+                [r * complex(math.cos(t), math.sin(t)) for t in ts]
+            )).tolist()
+
+        refined = _golden_min_lockstep(g, [float(theta[i]) - width for i in order],
+                                       [float(theta[i]) + width for i in order])
+        for val, _ in refined:
             best = min(best, val)
     return best

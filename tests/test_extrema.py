@@ -11,6 +11,7 @@ from polarineq import (
     make_poly,
     poly_from_roots,
 )
+from polarineq.extrema import _BLOCK, _vector_eval_sq
 
 
 def dense_scan(p, r, kind, points=2**16):
@@ -116,3 +117,15 @@ def test_validation_errors():
         circle_extremum(make_poly([1, 1]), -1.0, "max")
     with pytest.raises(ValueError):
         circle_extremum(make_poly([1, 1]), 1.0, "sup")
+
+
+@pytest.mark.parametrize("length", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_blocked_grid_kernel_matches_one_shot_horner(length):
+    rng = np.random.default_rng(length)
+    coeffs = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+    theta = rng.uniform(0.0, 2.0 * np.pi, length)
+    z = 1.3 * np.exp(1j * theta)
+    acc = np.zeros(z.shape, dtype=complex)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    assert np.array_equal(_vector_eval_sq(coeffs, 1.3, theta), np.abs(acc) ** 2)

@@ -32,6 +32,7 @@ from polarineq.generators import (
     extremal_poly_with_roots,
     random_zeros_poly_with_roots,
 )
+from polarineq.inequalities import _INV_PHI, _golden_min_lockstep
 from polarineq.poly import scale
 
 
@@ -308,6 +309,61 @@ def test_te2_mutation_seam():
     with rhs_sign_flip("TE2"):
         assert not check_inequality(inst).passed
     assert check_inequality(inst).passed  # seam restored
+
+
+def _golden_min_reference(g, lo, hi, iters=60):
+    # The one-bracket scalar search that the lockstep routine must reproduce.
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    gc, gd = g(c), g(d)
+    best_v, best_t = (gc, c) if gc <= gd else (gd, d)
+    for _ in range(iters):
+        if gc <= gd:
+            hi, d, gd = d, c, gc
+            c = hi - _INV_PHI * (hi - lo)
+            gc = g(c)
+            if gc < best_v:
+                best_v, best_t = gc, c
+        else:
+            lo, c, gc = c, d, gd
+            d = lo + _INV_PHI * (hi - lo)
+            gd = g(d)
+            if gd < best_v:
+                best_v, best_t = gd, d
+    return best_v, best_t
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda t: float(np.cos(3.0 * t) + 0.1 * t * t),  # smooth
+        lambda t: float(np.floor(4.0 * t) ** 2),  # plateaus: exact gc == gd ties
+        lambda t: 0.75,  # constant
+    ],
+    ids=["smooth", "ties", "constant"],
+)
+def test_golden_min_lockstep_matches_scalar(f):
+    rng = np.random.default_rng(8)
+    centers = rng.uniform(-3.0, 3.0, 7)
+    widths = rng.uniform(0.01, 1.5, 7)
+    los = [float(c - w) for c, w in zip(centers, widths)]
+    his = [float(c + w) for c, w in zip(centers, widths)]
+    calls, points = [], [[] for _ in los]
+
+    def g(rows, ts):
+        calls.append(len(ts))
+        for j, t in zip(rows, ts):
+            points[j].append(t)
+        return [f(t) for t in ts]
+
+    got = _golden_min_lockstep(g, los, his)
+    assert calls == [2 * len(los)] + [len(los)] * 60
+    for (v, t), lo, hi, pts in zip(got, los, his, points):
+        ref_pts = []
+        ref_v, ref_t = _golden_min_reference(lambda x: ref_pts.append(x) or f(x), lo, hi)
+        assert pts == ref_pts  # the same probe points, in the same order
+        assert (v, t) == (ref_v, ref_t)
+        assert type(v) is float and type(t) is float
 
 
 def test_sharpness_probes():
