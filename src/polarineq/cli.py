@@ -70,7 +70,6 @@ def _build_parser() -> _Parser:
     check.add_argument("--angles", type=int, default=512)
     check.add_argument("--format", choices=("json", "csv"), default="json")
     check.add_argument("--out", type=str, default=None)
-    check.add_argument("--threads", type=int, default=None)
 
     sharp = sub.add_parser("sharpness", help="probe an equality family")
     sharp.add_argument("--ineq", required=True)
@@ -86,7 +85,6 @@ def _build_parser() -> _Parser:
     fuzz.add_argument("--ineq", required=True)
     fuzz.add_argument("--budget", type=int, required=True)
     fuzz.add_argument("--seed", type=int, default=7)
-    fuzz.add_argument("--threads", type=int, default=None)
 
     roots = sub.add_parser("roots", help="locate all roots of a polynomial")
     roots.add_argument("--poly", required=True, help="path to polynomial JSON")
@@ -108,7 +106,6 @@ def _cmd_check(args) -> int:
         tol_rel=args.tol,
         radii=_split_radii(args.radii),
         angles_per_radius=args.angles,
-        threads=args.threads,
     )
     if args.out:
         emit_report(report, args.format, args.out)
@@ -148,7 +145,7 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    hit = fuzz_search(_split_ids(args.ineq), args.budget, args.seed, threads=args.threads)
+    hit = fuzz_search(_split_ids(args.ineq), args.budget, args.seed)
     if hit is None:
         print("no violation found", file=sys.stderr)
         return 0
@@ -202,7 +199,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,8 @@
 Every trial is a pure function of ``(root seed, inequality index, trial
 index)``: parameter sampling and polynomial generation run on Philox streams
 split by those indices, so any witness in a report can be replayed exactly.
-Trials fan out across a thread pool (``POLARINEQ_THREADS`` caps the worker
-count); aggregation is order-independent min/count reduction, which keeps
-reports byte-identical across thread counts.
+Trials run one after another on the calling thread: each is Python-level
+work on small numpy arrays, so a thread pool only contends for the GIL.
 
 Emitted artifacts are byte-stable: JSON keys are sorted and every float is
 written in fixed scientific notation with 17 significant digits.  Wall time
@@ -17,9 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -90,15 +87,6 @@ class SuiteReport:
     results: tuple[dict, ...]
     passed: bool
     elapsed_s: float
-
-
-def _worker_count(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("POLARINEQ_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _validate_ids(ineq_ids: Sequence[str]) -> tuple[str, ...]:
@@ -240,25 +228,17 @@ def run_suite(
     tol_rel: float = 1e-8,
     radii=DEFAULT_RADII,
     angles_per_radius: int = 512,
-    threads: Optional[int] = None,
 ) -> SuiteReport:
     """Randomized hypothesis-satisfying trials for each id, aggregated."""
     ids = _validate_ids(ineq_ids)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     start = time.perf_counter()
-    tasks = [(i, t) for i in ids for t in range(trials)]
-    workers = _worker_count(threads)
-
-    def job(task):
-        def_id, trial = task
-        return _run_trial(def_id, seed, trial, radii, angles_per_radius, tol_rel)
-
-    if workers == 1:
-        records = [job(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(job, tasks))
+    records = [
+        _run_trial(def_id, seed, trial, radii, angles_per_radius, tol_rel)
+        for def_id in ids
+        for trial in range(trials)
+    ]
 
     results = []
     for def_id in ids:
@@ -309,52 +289,35 @@ def fuzz_search(
     ineq_ids: Sequence[str],
     budget: int,
     seed: int,
-    threads: Optional[int] = None,
 ) -> Optional[dict]:
     """Aggressive-parameter search for violations; None when all hold.
 
     Parameters sit near the hypothesis boundaries (|alpha| close to k,
     |beta| = 1, z close to the unit circle) where slack is smallest.  The
-    first record with relative slack below -1e-6 is returned (scan order:
-    registry order, then trial index).  The theorems being true, any hit is
-    triaged as a numerics defect first.
+    search stops at the first record with relative slack below -1e-6 and
+    returns it (scan order: the given ids in order, then trial index).  The
+    theorems being true, any hit is triaged as a numerics defect first.
     """
     ids = _validate_ids(ineq_ids)
     if budget < 0:
         raise UsageError(f"budget must be >= 0, got {budget}")
-    workers = _worker_count(threads)
-
-    def job(task):
-        def_id, trial = task
-        return _run_trial(
-            def_id, seed, trial, FUZZ_RADII, 256, 1e-8, aggressive=True
-        )
-
     for def_id in ids:
-        tasks = [(def_id, t) for t in range(budget)]
-        chunk = max(1, workers * 4)
-        for lo in range(0, len(tasks), chunk):
-            batch = tasks[lo : lo + chunk]
-            if workers == 1:
-                recs = [job(t) for t in batch]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    recs = list(pool.map(job, batch))
-            for rec in recs:
-                if rec.rel_slack < FUZZ_THRESHOLD:
-                    return {
-                        "id": rec.ineq_id,
-                        "seed": rec.seed,
-                        "trial": rec.trial,
-                        "n": rec.n,
-                        "s": rec.s,
-                        "k": rec.k,
-                        "alphas": list(rec.alphas),
-                        "beta": rec.beta,
-                        "z": rec.witness_z,
-                        "min_slack": rec.min_slack,
-                        "rel_slack": rec.rel_slack,
-                    }
+        for trial in range(budget):
+            rec = _run_trial(def_id, seed, trial, FUZZ_RADII, 256, 1e-8, aggressive=True)
+            if rec.rel_slack < FUZZ_THRESHOLD:
+                return {
+                    "id": rec.ineq_id,
+                    "seed": rec.seed,
+                    "trial": rec.trial,
+                    "n": rec.n,
+                    "s": rec.s,
+                    "k": rec.k,
+                    "alphas": list(rec.alphas),
+                    "beta": rec.beta,
+                    "z": rec.witness_z,
+                    "min_slack": rec.min_slack,
+                    "rel_slack": rec.rel_slack,
+                }
     return None
 
 

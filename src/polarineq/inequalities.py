@@ -106,8 +106,7 @@ class InequalityInstance:
     """A hypothesis-checked (P, F, spec) triple with cached derived data.
 
     Max/Min circle terms are computed once per instance and cached; all
-    cached values are derived deterministically, so instances can be shared
-    across threads once built.
+    cached values are derived deterministically from (P, F, spec).
     """
 
     def __init__(self, defn: InequalityDef, p: Polynomial, f: Optional[Polynomial],
@@ -811,7 +810,7 @@ def check_inequality(
                          for j, t in zip(rows, ts)])
         lh, rh = defn.sides(inst, zz)
         slack = _oriented_slack(defn, np.asarray(lh, dtype=float), np.asarray(rh, dtype=float))
-        return np.broadcast_to(slack, zz.shape).tolist()
+        return slack.tolist()
 
     refined = _golden_min_lockstep(g, [th0 - width for _, _, th0 in top],
                                    [th0 + width for _, _, th0 in top])

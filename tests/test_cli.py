@@ -6,6 +6,7 @@ import pytest
 
 from polarineq import poly_to_json
 from polarineq.cli import main
+from polarineq.generators import GenConfig, random_zeros_poly_with_roots
 from polarineq.poly import make_poly
 
 
@@ -118,3 +119,23 @@ def test_bad_poly_json_exit_code(tmp_path, capsys):
 
 def test_missing_poly_file(capsys):
     assert main(["roots", "--poly", "/nonexistent/p.json"]) == 1
+
+
+def test_roots_overflow_is_an_error_not_a_traceback(tmp_path, capsys):
+    # Degree 40 with zeros out to modulus 3.4: the coefficient scale sum on
+    # the Cauchy-bound circle overflows a float.
+    p, _ = random_zeros_poly_with_roots(
+        GenConfig(n=40, k=0.8, seed=3, mode="zeros_outside_open_disk")
+    )
+    path = tmp_path / "big.json"
+    path.write_text(poly_to_json(p))
+    rc = main(["roots", "--poly", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_threads_flag_is_gone(capsys):
+    assert main(["check", "--ineq", "E1", "--trials", "1", "--threads", "2"]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -32,7 +32,8 @@ from polarineq.generators import (
     extremal_poly_with_roots,
     random_zeros_poly_with_roots,
 )
-from polarineq.inequalities import _INV_PHI, _golden_min_lockstep
+from polarineq.harness import regenerate_instance
+from polarineq.inequalities import _INV_PHI, _golden_min_lockstep, _oriented_slack
 from polarineq.poly import scale
 
 
@@ -311,6 +312,20 @@ def test_te2_mutation_seam():
     assert check_inequality(inst).passed  # seam restored
 
 
+@pytest.mark.parametrize(
+    "ineq_id", [i for i in INEQUALITY_IDS if REGISTRY[i].domain != "parameter_only"]
+)
+def test_sides_return_one_value_per_point(ineq_id):
+    # The refinement turns each step's slack array straight into a list of
+    # per-bracket values, so every z-dependent side must be shaped like z.
+    inst = regenerate_instance(ineq_id, 5, 0)
+    z = np.exp(1j * np.linspace(0.1, 6.0, 5))
+    lhs, rhs = inst.defn.sides(inst, z)
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    assert lhs.shape == rhs.shape == (5,)
+    assert _oriented_slack(inst.defn, lhs, rhs).shape == (5,)
+
+
 def _golden_min_reference(g, lo, hi, iters=60):
     # The one-bracket scalar search that the lockstep routine must reproduce.
     c = hi - _INV_PHI * (hi - lo)
@@ -384,7 +399,7 @@ def test_all_ids_hold_on_generated_instances():
     # light version of the acceptance sweep: a few trials per entry
     from polarineq.harness import run_suite
 
-    rep = run_suite(list(INEQUALITY_IDS), trials=3, seed=2024, threads=1)
+    rep = run_suite(list(INEQUALITY_IDS), trials=3, seed=2024)
     assert rep.passed
     for entry in rep.results:
         assert entry["passes"] == entry["trials"]
