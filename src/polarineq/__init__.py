@@ -4,9 +4,9 @@ the Bernstein-type inequalities they satisfy."""
 from .extrema import CircleExtremum, ToleranceUnattainableError, circle_extremum
 from .generators import (
     GenConfig,
-    dominated_pair,
-    extremal_poly,
-    random_zeros_poly,
+    dominated_pair_with_roots,
+    extremal_poly_with_roots,
+    random_zeros_poly_with_roots,
     rng_stream,
 )
 from .harness import (

@@ -20,11 +20,10 @@ from .harness import (
     report_to_json,
     run_suite,
 )
-from .inequalities import DEFAULT_RADII, INEQUALITY_IDS
+from .inequalities import DEFAULT_RADII, INEQUALITY_IDS, sharpness_probe
 from .polar import PolarSpec
 from .poly import poly_from_json
 from .roots import find_roots, verify_winding
-from .inequalities import sharpness_probe
 
 __all__ = ["main", "entrypoint"]
 

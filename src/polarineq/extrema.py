@@ -13,7 +13,9 @@ the best brackets) gives the value and a first certificate; when that is too
 loose, every bracket that could still contain the global extremum (sample
 within ``q`` of the best) is densified at a spacing chosen so the residual
 ``q`` meets the requested tolerance.  Past ``2**22`` evaluated points per
-stage the tolerance is declared unattainable.
+stage the tolerance is declared unattainable.  Grids are evaluated with
+``poly.evaluate`` in blocks of ``2**14`` angles, and the default tolerance
+is ``1e-9 * modulus_bound(p, max(1, r))``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, evaluate
+from .poly import Polynomial, evaluate, modulus_bound
 
 __all__ = ["CircleExtremum", "ToleranceUnattainableError", "circle_extremum"]
 
@@ -52,17 +54,15 @@ def _abs_sq_fourier(coeffs: np.ndarray, r: float) -> np.ndarray:
     return np.array([np.sum(b[l:] * np.conj(b[: n - l])) for l in range(n)])
 
 
-def _vector_eval_sq(coeffs: np.ndarray, r: float, theta: np.ndarray) -> np.ndarray:
-    # Horner over blocks of _BLOCK angles, so the complex temporaries stay
-    # cache-sized; every element is computed exactly as in one whole-array pass.
+def _vector_eval_sq(p: Polynomial, r: float, theta: np.ndarray) -> np.ndarray:
+    # Evaluate over blocks of _BLOCK angles, so the complex temporaries stay
+    # cache-sized (a whole 2**22-point grid of z would set the peak memory);
+    # every element is computed exactly as in one whole-array pass.
     theta = np.asarray(theta, dtype=float)
     out = np.empty(theta.shape)
     for start in range(0, len(theta), _BLOCK):
         z = r * np.exp(1j * theta[start:start + _BLOCK])
-        acc = np.zeros(z.shape, dtype=complex)
-        for c in coeffs[::-1]:
-            acc = acc * z + c
-        out[start:start + _BLOCK] = np.abs(acc) ** 2
+        out[start:start + _BLOCK] = np.abs(evaluate(p, z)) ** 2
     return out
 
 
@@ -96,8 +96,7 @@ class _Certifier:
     def __init__(self, p: Polynomial, r: float):
         self.p = p
         self.r = r
-        self.coeffs = np.asarray(p.coeffs, dtype=complex)
-        fourier = _abs_sq_fourier(self.coeffs, r)
+        fourier = _abs_sq_fourier(np.asarray(p.coeffs, dtype=complex), r)
         ls = np.arange(1, len(fourier))
         self.lip1 = float(2.0 * np.sum(ls * np.abs(fourier[1:])))
         self.lip2 = float(2.0 * np.sum(ls**2 * np.abs(fourier[1:])))
@@ -145,9 +144,8 @@ def circle_extremum(
         raise ValueError(f'kind must be "max" or "min", got {kind!r}')
     if not (r > 0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive, got {r}")
-    scale = float(sum(abs(c) * max(1.0, r) ** j for j, c in enumerate(p.coeffs)))
     if eps is None:
-        eps = 1e-9 * scale
+        eps = 1e-9 * modulus_bound(p, max(1.0, r))
     if not eps > 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
 
@@ -156,7 +154,7 @@ def circle_extremum(
     samples = max(4096, 64 * p.degree)
     while samples <= _MAX_GRID:
         theta = 2.0 * np.pi * np.arange(samples) / samples
-        vals = _vector_eval_sq(cert.coeffs, r, theta)
+        vals = _vector_eval_sq(p, r, theta)
         spacing = 2.0 * np.pi / samples
         q_grid = cert.stationary_slack(spacing)
         grid_extreme = float(vals.max() if maximize else vals.min())
@@ -190,7 +188,7 @@ def circle_extremum(
             if pts * len(cand) <= _MAX_GRID:
                 offsets = np.linspace(-spacing, spacing, pts)
                 fine = (theta[cand][:, None] + offsets[None, :]).ravel()
-                fvals = _vector_eval_sq(cert.coeffs, r, fine)
+                fvals = _vector_eval_sq(p, r, fine)
                 idx = int(fvals.argmax() if maximize else fvals.argmin())
                 fine_extreme = float(fvals[idx])
                 t, fv = _ternary(cert.f_scalar, float(fine[idx]) - fine_spacing,

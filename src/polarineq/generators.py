@@ -16,17 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extrema import circle_extremum
-from .poly import Polynomial, add, make_poly, poly_from_roots, scale
+from .poly import Polynomial, add, make_poly, modulus_bound, poly_from_roots, scale
 
 __all__ = [
     "GenConfig",
     "MODES",
     "rng_stream",
-    "random_zeros_poly",
     "random_zeros_poly_with_roots",
-    "dominated_pair",
     "dominated_pair_with_roots",
-    "extremal_poly",
     "extremal_poly_with_roots",
 ]
 
@@ -56,10 +53,6 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
     )
-
-
-def random_zeros_poly(cfg: GenConfig) -> Polynomial:
-    return random_zeros_poly_with_roots(cfg)[0]
 
 
 def random_zeros_poly_with_roots(cfg: GenConfig) -> tuple[Polynomial, tuple[complex, ...]]:
@@ -92,13 +85,6 @@ def random_zeros_poly_with_roots(cfg: GenConfig) -> tuple[Polynomial, tuple[comp
     return poly_from_roots(roots, lead), roots
 
 
-def dominated_pair(
-    cfg: GenConfig, gamma1: complex, gamma2: complex
-) -> tuple[Polynomial, Polynomial]:
-    p, f, _ = dominated_pair_with_roots(cfg, gamma1, gamma2)
-    return p, f
-
-
 def dominated_pair_with_roots(
     cfg: GenConfig, gamma1: complex, gamma2: complex
 ) -> tuple[Polynomial, Polynomial, tuple[complex, ...]]:
@@ -114,7 +100,8 @@ def dominated_pair_with_roots(
     if cfg.mode != "zeros_inside":
         raise ValueError("dominated pairs require mode zeros_inside")
     f, roots = random_zeros_poly_with_roots(cfg)
-    m_f = circle_extremum(f, cfg.k, "min", eps=1e-6 * _coeff_scale(f, cfg.k)).value
+    eps = 1e-6 * modulus_bound(f, max(1.0, cfg.k))
+    m_f = circle_extremum(f, cfg.k, "min", eps=eps).value
     monomial = make_poly([0j] * cfg.n + [1.0 + 0j])
     g2 = complex(gamma2)
     for _ in range(16):
@@ -126,14 +113,6 @@ def dominated_pair_with_roots(
         # leading coefficient cancelled exactly; nudge the mix and retry
         g2 = g2 * complex(np.exp(0.1j)) if g2 != 0 else 1e-3 + 0j
     raise RuntimeError("could not build an exact-degree dominated pair")
-
-
-def _coeff_scale(p: Polynomial, r: float) -> float:
-    return float(sum(abs(c) * max(1.0, r) ** j for j, c in enumerate(p.coeffs)))
-
-
-def extremal_poly(family: str, n: int, a: complex | None = None, b: complex | None = None) -> Polynomial:
-    return extremal_poly_with_roots(family, n, a=a, b=b)[0]
 
 
 def extremal_poly_with_roots(

@@ -33,6 +33,7 @@ from .inequalities import (
     INEQUALITY_IDS,
     REGISTRY,
     InequalityInstance,
+    add_counts,
     build_instance,
     check_inequality,
     evaluate_sides,
@@ -151,7 +152,7 @@ def regenerate_instance(
     else:
         s = 0
 
-    if defn.k_regime == "unit" or defn.ineq_id == "E1":
+    if defn.k_regime in ("unit", "any"):  # "any": no hypothesis on k, so sample k = 1
         k = 1.0
     elif defn.k_regime == "at_least_one":
         k = float(K_CHOICES_WIDE[int(rng.integers(0, len(K_CHOICES_WIDE)))])
@@ -260,12 +261,8 @@ def run_suite(
                 "z": worst.witness_z,
             },
         }
-        if def_id == "TE3":
-            neg = sum(r.extra.get("min_term_sign_counts", {}).get("neg", 0) for r in recs)
-            nonneg = sum(
-                r.extra.get("min_term_sign_counts", {}).get("nonneg", 0) for r in recs
-            )
-            entry["min_term_sign_counts"] = {"neg": neg, "nonneg": nonneg}
+        for rec in recs:
+            add_counts(entry, rec.extra)
         results.append(entry)
 
     elapsed = time.perf_counter() - start

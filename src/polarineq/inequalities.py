@@ -31,6 +31,7 @@ from .poly import (
     Polynomial,
     conjugate_reciprocal,
     evaluate,
+    modulus_bound,
     scale as poly_scale,
     scale_argument,
     sth_derivative,
@@ -85,6 +86,9 @@ class InequalityDef:
     (no z dependence).  ``zero_mode`` names the zero-location hypothesis of
     the subject polynomial ("inside" / "outside" / "none"); for paired
     entries it applies to F while P is constrained by domination on |z| = k.
+    ``tally(inst, z)``, when set, counts something about one radius's grid
+    as ``{key: {name: count}}``; the counts are summed into the report's
+    ``extra`` and, across trials, into the suite results.
     """
 
     ineq_id: str
@@ -100,6 +104,15 @@ class InequalityDef:
     uses_s: bool = True  # False: entry has no chain/derivative order (s == 0)
     fixed_s: Optional[int] = None
     witness_hint: Optional[Callable] = None
+    tally: Optional[Callable] = None
+
+
+def add_counts(total: dict, part: dict) -> None:
+    """Add the ``{key: {name: count}}`` tallies of ``part`` into ``total``."""
+    for key, counts in part.items():
+        into = total.setdefault(key, {})
+        for name, count in counts.items():
+            into[name] = into.get(name, 0) + count
 
 
 class InequalityInstance:
@@ -187,10 +200,8 @@ class InequalityInstance:
         key = (which, radius, kind)
         if key not in self._extrema:
             poly = {"p": self.p, "f": self.f, "dp": self.deriv1_p}[which]
-            scale = sum(abs(c) * max(1.0, radius) ** j for j, c in enumerate(poly.coeffs))
-            self._extrema[key] = circle_extremum(
-                poly, radius, kind, eps=EXTREMUM_EPS_REL * scale
-            )
+            eps = EXTREMUM_EPS_REL * modulus_bound(poly, max(1.0, radius))
+            self._extrema[key] = circle_extremum(poly, radius, kind, eps=eps)
         return self._extrema[key]
 
     def max_p(self, radius: float) -> float:
@@ -363,6 +374,14 @@ def _sides_te3(inst, z):
     return lhs, rhs
 
 
+def _tally_min_term_signs(inst, z):
+    # Sign of TE3's {T1 - T2} bracket, the factor of its subtracted Min term.
+    t1, t2 = _chain_brackets(inst, z)
+    bracket = np.asarray(t1 - t2, dtype=float)
+    return {"min_term_sign_counts": {"neg": int((bracket < 0).sum()),
+                                     "nonneg": int((bracket >= 0).sum())}}
+
+
 def _sides_ce7(inst, z):
     lhs = _deriv_combo(inst, inst.p, inst.deriv_s_p, z)
     u1 = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(1.0 + inst.cb_deriv)
@@ -500,7 +519,7 @@ _DEFS = [
     InequalityDef(
         "TE3", "TE2 refined by the subtracted {T1 - T2} Min term", "upper",
         "outside_unit_disk", _sides_te3, zero_mode="outside", needs_alphas=True,
-        uses_beta=True,
+        uses_beta=True, tally=_tally_min_term_signs,
     ),
     InequalityDef(
         "CE7", "derivative form of TE3 (polar points sent to infinity)", "upper",
@@ -749,7 +768,9 @@ def check_inequality(
     five searches run in lockstep: each step evaluates all five new points
     in one batched side evaluation, with each search's bracket arithmetic
     unchanged.  For unit-circle entries only the radius-1 slice is swept;
-    parameter-only entries evaluate once.
+    parameter-only entries evaluate once.  An entry with a registry
+    ``tally`` has it applied to each radius's grid, and the counts are
+    summed into the report's ``extra``.
     """
     defn = inst.defn
     if tol_rel <= 0:
@@ -782,7 +803,6 @@ def check_inequality(
     candidates = []  # (slack, radius, theta)
     samples = 0
     extra: dict = {}
-    neg_count = nonneg_count = 0
     for r in radii_eff:
         theta = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
         z = r * np.exp(1j * theta)
@@ -792,14 +812,8 @@ def check_inequality(
         order = np.argsort(slack)[:5]
         for i in order:
             candidates.append((float(slack[i]), r, float(theta[i])))
-        if defn.ineq_id == "TE3":
-            t1, t2 = _chain_brackets(inst, z)
-            bracket = np.asarray(t1 - t2, dtype=float)
-            neg_count += int((bracket < 0).sum())
-            nonneg_count += int((bracket >= 0).sum())
-
-    if defn.ineq_id == "TE3":
-        extra["min_term_sign_counts"] = {"neg": neg_count, "nonneg": nonneg_count}
+        if defn.tally:
+            add_counts(extra, defn.tally(inst, z))
 
     candidates.sort(key=lambda c: c[0])
     top = candidates[:5]

@@ -23,6 +23,7 @@ __all__ = [
     "Polynomial",
     "make_poly",
     "evaluate",
+    "modulus_bound",
     "derivative",
     "sth_derivative",
     "add",
@@ -71,7 +72,11 @@ def make_poly(coeffs: Sequence[complex]) -> Polynomial:
 
 
 def evaluate(p: Polynomial, z):
-    """Horner evaluation of ``p`` at ``z`` (scalar complex or numpy array)."""
+    """Horner evaluation of ``p`` at ``z`` (scalar complex or numpy array).
+
+    This is the package's one evaluation kernel: circle grids, root
+    iterations and the inequality sides all call it.
+    """
     if isinstance(z, np.ndarray):
         acc = np.zeros(z.shape, dtype=complex)
         for c in reversed(p.coeffs):
@@ -82,6 +87,11 @@ def evaluate(p: Polynomial, z):
     for c in reversed(p.coeffs):
         acc = acc * zc + c
     return acc
+
+
+def modulus_bound(p: Polynomial, r: float) -> float:
+    """``sum(|a_j| * r**j)``, an upper bound for ``|P(z)|`` on ``|z| = r``."""
+    return float(sum(abs(c) * r ** j for j, c in enumerate(p.coeffs)))
 
 
 def derivative(p: Polynomial) -> Polynomial:

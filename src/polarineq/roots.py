@@ -3,13 +3,15 @@
 ``find_roots`` runs Aberth-Ehrlich simultaneous iteration from deterministic
 golden-angle initial guesses on the Cauchy-bound circle, then polishes with
 Newton steps.  Convergence is judged by residuals: a root is accepted when
-``|P(r)| <= 1e-10 * sum(|a_j| * max(1,|r|)**j)``.  Multiple roots are
-returned as clusters (no deflation); containment queries absorb finder error
-through ``root_tol``.
+``|P(r)| <= 1e-10 * sum(|a_j| * max(1,|r|)**j)``, and a residual or scale
+that overflowed to inf or NaN is non-convergence, never a pass.  Multiple
+roots are returned as clusters (no deflation); containment queries absorb
+finder error through ``root_tol``.
 
 ``count_zeros_in_disk`` counts zeros by accumulating the phase of P along the
 circle (argument principle) and is fully independent of the iterative finder,
-so the two can cross-check each other.
+so the two can cross-check each other.  Both evaluate P and P' with
+``poly.evaluate``.
 
 For polynomials whose roots are known by construction (generators plant
 them), ``zero_location_evidence`` verifies the declared roots reproduce the
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .poly import Polynomial, evaluate, poly_from_roots
+from .poly import Polynomial, derivative, evaluate, modulus_bound, poly_from_roots
 
 __all__ = [
     "ROOT_TOL",
@@ -81,24 +83,17 @@ def _residual_scales(abs_coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return scales
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros(z.shape, dtype=complex)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLocationReport:
     """All ``degree`` roots with multiplicity, by simultaneous iteration."""
     n = p.degree
     if n < 1:
         raise ValueError("root finding needs degree >= 1")
+    dp = derivative(p)
     coeffs = np.asarray(p.coeffs, dtype=complex)
-    dcoeffs = coeffs[1:] * np.arange(1, n + 1)
     abs_coeffs = np.abs(coeffs)
 
     monic = np.abs(coeffs / coeffs[-1])
-    radius = 1.0 + float(monic[:-1].max()) if n >= 1 else 1.0
+    radius = 1.0 + float(monic[:-1].max())
     # Golden-angle spacing breaks root symmetries without any seed.
     idx = np.arange(n)
     theta = 2.0 * np.pi * ((idx * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0) + 0.5
@@ -111,7 +106,7 @@ def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLoca
     used = 0
     for _ in range(max_iterations):
         used += 1
-        pv = _horner(coeffs, z)
+        pv = evaluate(p, z)
         resid = np.abs(pv)
         target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
         # Push to the machine floor so multiple-root clusters tighten as far
@@ -126,7 +121,7 @@ def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLoca
             stall += 1
             if stall > 25 and np.all(resid <= target):
                 break
-        dv = _horner(dcoeffs, z)
+        dv = evaluate(dp, z)
         dv = np.where(dv == 0, 1e-300, dv)
         w = pv / dv
         diff = z[:, None] - z[None, :]
@@ -140,22 +135,24 @@ def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLoca
 
     # Newton polish for anything still above the acceptance threshold; the
     # polish shares the caller's iteration budget.
-    pv = _horner(coeffs, z)
+    pv = evaluate(p, z)
     resid = np.abs(pv)
     target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
     for _ in range(min(40, max(0, max_iterations - used))):
         bad = resid > target
         if not bad.any():
             break
-        dv = _horner(dcoeffs, z)
+        dv = evaluate(dp, z)
         dv = np.where(dv == 0, 1e-300, dv)
         step = np.where(bad, pv / dv, 0)
         z = z - step
-        pv = _horner(coeffs, z)
+        pv = evaluate(p, z)
         resid = np.abs(pv)
         target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
 
-    if (resid > target).any():
+    # A non-finite residual or target (overflow far from the roots) is no
+    # evidence of convergence, though inf <= inf would compare true.
+    if not (np.isfinite(target).all() and np.all(resid <= target)):
         raise RootConvergenceError(
             f"root finder did not converge within {max_iterations} iterations",
             z.tolist(),
@@ -176,20 +173,20 @@ def count_zeros_in_disk(p: Polynomial, r: float) -> int:
     """Winding number of ``P(r*e^{i*theta})`` around the origin.
 
     Samples the circle densely, doubling the grid until every phase step is
-    below pi/2.  Errors out when a root sits close to the contour (the count
-    would be ill-defined) or when the doubling budget is exhausted.
+    below pi/2.  Errors out when a root sits close to the contour, i.e. some
+    sample has ``|P| < 1e-9 * modulus_bound(p, r)`` (the count would be
+    ill-defined), or when the doubling budget is exhausted.
     """
     n = p.degree
     if n < 1:
         raise ValueError("zero counting needs degree >= 1")
     if not (r > 0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive, got {r}")
-    coeffs = np.asarray(p.coeffs, dtype=complex)
-    scale = float(sum(abs(c) * max(1.0, r) ** j for j, c in enumerate(p.coeffs)))
+    scale = modulus_bound(p, r)
     samples = 4096 * math.ceil(n / 8 + 1)
     while True:
         theta = 2.0 * np.pi * np.arange(samples) / samples
-        w = _horner(coeffs, r * np.exp(1j * theta))
+        w = evaluate(p, r * np.exp(1j * theta))
         if np.abs(w).min() < 1e-9 * scale:
             raise ValueError("root near contour")
         steps = np.angle(np.roll(w, -1) / w)

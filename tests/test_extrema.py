@@ -128,4 +128,4 @@ def test_blocked_grid_kernel_matches_one_shot_horner(length):
     acc = np.zeros(z.shape, dtype=complex)
     for c in coeffs[::-1]:
         acc = acc * z + c
-    assert np.array_equal(_vector_eval_sq(coeffs, 1.3, theta), np.abs(acc) ** 2)
+    assert np.array_equal(_vector_eval_sq(make_poly(coeffs), 1.3, theta), np.abs(acc) ** 2)

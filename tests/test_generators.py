@@ -7,23 +7,18 @@ from polarineq import (
     GenConfig,
     PolarSpec,
     build_instance,
-    dominated_pair,
+    dominated_pair_with_roots,
     evaluate,
-    extremal_poly,
+    extremal_poly_with_roots,
     find_roots,
     poly_to_json,
-    random_zeros_poly,
-)
-from polarineq.generators import (
-    dominated_pair_with_roots,
-    extremal_poly_with_roots,
     random_zeros_poly_with_roots,
 )
 
 
 def test_inside_mode_containment():
     cfg = GenConfig(n=5, k=0.8, seed=1, mode="zeros_inside")
-    p = random_zeros_poly(cfg)
+    p, _ = random_zeros_poly_with_roots(cfg)
     assert p.degree == 5
     rep = find_roots(p)
     assert rep.max_modulus <= 0.8
@@ -56,29 +51,31 @@ def test_degree_one():
 
 def test_seed_determinism_byte_equal_json():
     cfg = GenConfig(n=9, k=0.7, seed=123, mode="zeros_inside")
-    a = poly_to_json(random_zeros_poly(cfg))
-    b = poly_to_json(random_zeros_poly(cfg))
+    a = poly_to_json(random_zeros_poly_with_roots(cfg)[0])
+    b = poly_to_json(random_zeros_poly_with_roots(cfg)[0])
     assert a == b
-    other = poly_to_json(random_zeros_poly(GenConfig(n=9, k=0.7, seed=124, mode="zeros_inside")))
+    other_cfg = GenConfig(n=9, k=0.7, seed=124, mode="zeros_inside")
+    other = poly_to_json(random_zeros_poly_with_roots(other_cfg)[0])
     assert a != other
 
 
 def test_unconstrained_mode_exact_degree():
     for seed in range(20):
-        p = random_zeros_poly(GenConfig(n=10, k=1.0, seed=seed, mode="unconstrained"))
+        cfg = GenConfig(n=10, k=1.0, seed=seed, mode="unconstrained")
+        p, _ = random_zeros_poly_with_roots(cfg)
         assert p.degree == 10
         assert abs(p.coeffs[-1]) >= 0.5
 
 
 def test_dominated_pair_scaled_copy():
     cfg = GenConfig(n=4, k=0.8, seed=5, mode="zeros_inside")
-    p, f = dominated_pair(cfg, 0.7, 0)
+    p, f, _ = dominated_pair_with_roots(cfg, 0.7, 0)
     assert p.coeffs == tuple(0.7 * c for c in f.coeffs)
 
 
 def test_dominated_pair_pure_monomial():
     cfg = GenConfig(n=4, k=0.8, seed=6, mode="zeros_inside")
-    p, f = dominated_pair(cfg, 0, 0.5j)
+    p, f, _ = dominated_pair_with_roots(cfg, 0, 0.5j)
     assert p.degree == 4
     assert all(c == 0 for c in p.coeffs[:-1])
     theta = 2 * np.pi * np.arange(512) / 512
@@ -88,7 +85,7 @@ def test_dominated_pair_pure_monomial():
 
 def test_dominated_pair_random_mix():
     cfg = GenConfig(n=8, k=0.5, seed=7, mode="zeros_inside")
-    p, f = dominated_pair(cfg, 0.6, 0.3j)
+    p, f, _ = dominated_pair_with_roots(cfg, 0.6, 0.3j)
     theta = 2 * np.pi * np.arange(4096) / 4096
     ring = 0.5 * np.exp(1j * theta)
     pa, fa = np.abs(evaluate(p, ring)), np.abs(evaluate(f, ring))
@@ -98,9 +95,9 @@ def test_dominated_pair_random_mix():
 def test_dominated_pair_rejects_large_gammas():
     cfg = GenConfig(n=3, k=1.0, seed=8, mode="zeros_inside")
     with pytest.raises(ValueError):
-        dominated_pair(cfg, 0.8, 0.3)
+        dominated_pair_with_roots(cfg, 0.8, 0.3)
     with pytest.raises(ValueError):
-        dominated_pair(GenConfig(n=3, k=1.0, seed=8, mode="unconstrained"), 0.5, 0)
+        dominated_pair_with_roots(GenConfig(n=3, k=1.0, seed=8, mode="unconstrained"), 0.5, 0)
 
 
 def test_dominated_pairs_satisfy_te1_hypotheses():
@@ -113,10 +110,10 @@ def test_dominated_pairs_satisfy_te1_hypotheses():
 
 
 def test_extremal_families():
-    assert extremal_poly("half", 3).coeffs == (0.5 + 0j, 0j, 0j, 0.5 + 0j)
-    assert extremal_poly("turan", 2).coeffs == (1 + 0j, 2 + 0j, 1 + 0j)
-    assert extremal_poly("power", 4, a=2j).coeffs == (0j, 0j, 0j, 0j, 2j)
-    el = extremal_poly("erdos_lax", 5)
+    assert extremal_poly_with_roots("half", 3)[0].coeffs == (0.5 + 0j, 0j, 0j, 0.5 + 0j)
+    assert extremal_poly_with_roots("turan", 2)[0].coeffs == (1 + 0j, 2 + 0j, 1 + 0j)
+    assert extremal_poly_with_roots("power", 4, a=2j)[0].coeffs == (0j, 0j, 0j, 0j, 2j)
+    el, _ = extremal_poly_with_roots("erdos_lax", 5)
     assert el.coeffs[0] == 0.5 and el.coeffs[-1] == 0.5
 
 
@@ -130,9 +127,9 @@ def test_extremal_family_roots_are_consistent():
 
 def test_erdos_lax_requires_equal_moduli():
     with pytest.raises(ValueError, match="requires"):
-        extremal_poly("erdos_lax", 3, a=1.0, b=0.5)
+        extremal_poly_with_roots("erdos_lax", 3, a=1.0, b=0.5)
 
 
 def test_unknown_family():
     with pytest.raises(ValueError, match="unknown"):
-        extremal_poly("chebyshev", 3)
+        extremal_poly_with_roots("chebyshev", 3)

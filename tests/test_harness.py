@@ -1,5 +1,6 @@
 """Suite orchestration, determinism, serialization, and replay tests."""
 
+import hashlib
 import json
 
 import pytest
@@ -47,6 +48,19 @@ def test_reports_byte_identical_across_runs():
     b = run_suite(["E2", "LE4"], 4, seed=11)
     assert report_to_json(a) == report_to_json(b)
     assert report_to_csv(a) == report_to_csv(b)
+
+
+def test_report_bytes_pinned():
+    # sha256 of the reports of `polarineq check --ineq ALL --trials 1`.  A
+    # change that moves these bytes changes the verifier's output: it records
+    # the old and new hashes in CHANGES.md and updates them here.
+    rep = run_suite(list(INEQUALITY_IDS), 1, seed=42)
+    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == (
+        "09e6ca151b3487c37a1f41526e09e3aea274b3b104f95a5b2015a0b96b2f024c"
+    )
+    assert hashlib.sha256(report_to_csv(rep).encode()).hexdigest() == (
+        "365bb89304ca2bcb8291d0e8fe1999c2b5a4f3e1439a73d018f5c32dcbf34ec3"
+    )
 
 
 def test_json_schema_round_trip():

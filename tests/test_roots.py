@@ -78,6 +78,26 @@ def test_count_zeros_root_near_contour():
         count_zeros_in_disk(poly_from_roots([1.0], 1), 1.0)
 
 
+def test_find_roots_non_finite_residual_is_nonconvergence():
+    # Degree 40 with zeros out to modulus 3.4: started on the Cauchy-bound
+    # circle, residuals and their scales overflow to inf, and inf <= inf
+    # must not pass as converged.
+    p, _ = random_zeros_poly_with_roots(
+        GenConfig(n=40, k=0.8, seed=3, mode="zeros_outside_open_disk")
+    )
+    with pytest.raises(RootConvergenceError):
+        find_roots(p)
+
+
+def test_count_zeros_inside_small_circle():
+    # Every zero lies at least 15% inside |z| = 0.5.  A contour threshold
+    # scaled by sum(|a_j| * max(1, r)**j) sits far above max |P| on this
+    # circle and reported a root near the contour.
+    p, roots = random_zeros_poly_with_roots(GenConfig(n=32, k=0.5, seed=1, mode="zeros_inside"))
+    assert max(abs(z) for z in roots) < 0.43
+    assert count_zeros_in_disk(p, 0.5) == 32
+
+
 def test_count_zeros_agrees_with_finder():
     count = 0
     for seed in range(40):
