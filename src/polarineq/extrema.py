@@ -2,20 +2,40 @@
 
 The square ``f(theta) = |P(r e^{i theta})|**2`` is a trigonometric polynomial
 whose Fourier coefficients follow directly from the polynomial coefficients,
-so coefficient-sum bounds on f' and f'' are available without invoking any of
-the derivative inequalities this package exists to test.  Because the global
-extremum of the smooth periodic f is a stationary point, it can exceed the
-best sample of a spacing-d grid by at most ``q(d) = min(Lf*d/2,
-L2*(d/2)**2/2)``.
+so coefficient-sum bounds ``Lf`` on |f'| and ``L2`` on |f''| are available
+without invoking any of the derivative inequalities this package exists to
+test.  An extremum of f inside a bracket of width d is either an end of the
+bracket or a stationary point, and a stationary point sits at most
+``q(d) = min(Lf*d/2, L2*(d/2)**2/2)`` above (below) the nearer end.
 
-Certification is two-stage.  A uniform grid (plus ternary refinement around
-the best brackets) gives the value and a first certificate; when that is too
-loose, every bracket that could still contain the global extremum (sample
-within ``q`` of the best) is densified at a spacing chosen so the residual
-``q`` meets the requested tolerance.  Past ``2**22`` evaluated points per
-stage the tolerance is declared unattainable.  Grids are evaluated with
-``poly.evaluate`` in blocks of ``2**14`` angles, and the default tolerance
-is ``1e-9 * modulus_bound(p, max(1, r))``.
+``circle_extremum`` is a branch-and-bound over a frontier of brackets of
+angles (Piyavskii 1972; Shubert 1972):
+
+- The first level samples |P| on a uniform grid of ``8 * (degree + 1)``
+  angles or more, rounded up to a power of two, with one FFT of the
+  zero-padded ``a_j * r**j``.  Every gap between neighbouring samples is a
+  bracket.
+- A bracket's bound on |P| is its better end value plus the stationary
+  slack ``q(width)``, widened by ``rho``: an explicit bound on the rounding
+  error of one evaluation of P, by FFT or by Horner, of a few units of
+  roundoff per degree times ``sum |a_j| r**j``.  A tolerance below ``4*rho``
+  is declared unattainable before anything is evaluated.
+- Each level prunes the brackets whose bound cannot beat the incumbent by
+  more than the tolerance, cuts every survivor into equal parts (up to 32,
+  aiming at about 1024 new angles per level, never fewer than 2 parts) and
+  evaluates all the new angles in one batched ``poly.evaluate`` pass.
+- When the frontier is empty, the worst pruned bound certifies the
+  incumbent.  Only that incumbent is polished, by safeguarded Newton steps
+  on ``f'(theta) = 0`` with P, P' and P''.
+
+The value is then the extremum of its basin to rounding, but another local
+extremum within the tolerance of the global one may be the basin found:
+callers that need the value tighter than that ask for a smaller ``eps``.
+
+One evaluated-point budget of ``2**22`` caps the work of a call, and a level
+may add at most an eighth of it, which keeps the frontier's arrays small; a
+call that would exceed either raises ``ToleranceUnattainableError``.  The
+default tolerance is ``1e-9 * modulus_bound(p, max(1, r))``.
 """
 
 from __future__ import annotations
@@ -25,13 +45,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, evaluate, modulus_bound
+from .poly import Polynomial, derivative, evaluate, modulus_bound
 
 __all__ = ["CircleExtremum", "ToleranceUnattainableError", "circle_extremum"]
 
-_MAX_GRID = 2**22
-_MAX_CANDIDATES = 1024
+_BUDGET = 2**22  # evaluated points per call; a level adds at most _BUDGET // 8
 _BLOCK = 2**14
+_MAX_SPLIT = 32  # most parts one bracket is cut into
+_LEVEL_POINTS = 1024  # new points per level that the split aims at
+_POLISH_STEPS = 8
+_MACHINE_EPS = float(np.finfo(float).eps)
 
 
 class ToleranceUnattainableError(ValueError):
@@ -47,17 +70,15 @@ class CircleExtremum:
     certified_error: float
 
 
-def _abs_sq_fourier(coeffs: np.ndarray, r: float) -> np.ndarray:
-    # c_l = sum_j b_{j+l} * conj(b_j) with b_j = a_j * r**j, l = 0..degree
-    b = coeffs * r ** np.arange(len(coeffs))
-    n = len(b)
-    return np.array([np.sum(b[l:] * np.conj(b[: n - l])) for l in range(n)])
+def _abs_sq_fourier(b: np.ndarray) -> np.ndarray:
+    # c_l = sum_j b_{j+l} * conj(b_j), l = 0..degree, for b_j = a_j * r**j
+    return np.correlate(b, b, "full")[len(b) - 1:]
 
 
 def _vector_eval_sq(p: Polynomial, r: float, theta: np.ndarray) -> np.ndarray:
     # Evaluate over blocks of _BLOCK angles, so the complex temporaries stay
-    # cache-sized (a whole 2**22-point grid of z would set the peak memory);
-    # every element is computed exactly as in one whole-array pass.
+    # cache-sized (a whole level's z of up to 2**19 angles would add to the
+    # peak memory); every element is computed exactly as in one whole-array pass.
     theta = np.asarray(theta, dtype=float)
     out = np.empty(theta.shape)
     for start in range(0, len(theta), _BLOCK):
@@ -66,64 +87,66 @@ def _vector_eval_sq(p: Polynomial, r: float, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ternary(f, lo: float, hi: float, maximize: bool, iters: int = 90):
-    """Ternary search on the bracket, tracking the best point ever seen."""
-    sign = -1.0 if maximize else 1.0
-    best_t, best_v = lo, sign * f(lo)
-    for t in (hi, 0.5 * (lo + hi)):
-        v = sign * f(t)
-        if v < best_v:
-            best_v, best_t = v, t
-    for _ in range(iters):
-        if hi - lo < 1e-13:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        v1 = sign * f(m1)
-        v2 = sign * f(m2)
-        if v1 < best_v:
-            best_v, best_t = v1, m1
-        if v2 < best_v:
-            best_v, best_t = v2, m2
-        if v1 <= v2:
-            hi = m2
-        else:
-            lo = m1
-    return best_t, sign * best_v
-
-
 class _Certifier:
+    """Coefficient-sum bounds on f = |P(r e^{i theta})|**2 and on its rounding."""
+
     def __init__(self, p: Polynomial, r: float):
-        self.p = p
-        self.r = r
-        fourier = _abs_sq_fourier(np.asarray(p.coeffs, dtype=complex), r)
+        self.b = np.asarray(p.coeffs, dtype=complex) * r ** np.arange(len(p.coeffs))
+        # The first level's grid; ifft(b, grid) would silently truncate b if
+        # grid < len(b).
+        self.grid = 1 << max(6, (8 * len(self.b) - 1).bit_length())
+        fourier = _abs_sq_fourier(self.b)
         ls = np.arange(1, len(fourier))
         self.lip1 = float(2.0 * np.sum(ls * np.abs(fourier[1:])))
         self.lip2 = float(2.0 * np.sum(ls**2 * np.abs(fourier[1:])))
+        # Bound on |computed P - P| at any angle: Horner's error, the rounding
+        # of r*exp(i*theta) (through |P'|) and the FFT's log2(grid) stages are
+        # each a few units of roundoff times sum |b_j|.
+        size = float(np.abs(self.b).sum())
+        self.rho = 8.0 * _MACHINE_EPS * (len(self.b) + math.log2(self.grid)) * size
 
     def stationary_slack(self, spacing: float) -> float:
         # How far above/below the nearest sample a stationary point of f can sit.
         half = spacing / 2.0
         return min(self.lip1 * half, 0.5 * self.lip2 * half**2)
 
-    def spacing_for(self, q_target: float) -> float:
-        # Largest spacing whose stationary slack stays below q_target.
-        opts = []
-        if self.lip1 > 0:
-            opts.append(2.0 * q_target / self.lip1)
-        if self.lip2 > 0:
-            opts.append(2.0 * math.sqrt(2.0 * q_target / self.lip2))
-        return max(opts) if opts else math.inf
-
-    def f_scalar(self, theta: float) -> float:
-        v = evaluate(self.p, self.r * complex(math.cos(theta), math.sin(theta)))
-        return abs(v) ** 2
+    def grid_moduli(self) -> np.ndarray:
+        # |P| at theta_k = 2*pi*k/grid, as P(r e^{i theta_k}) = grid * ifft(b, grid)[k].
+        return np.abs(np.fft.ifft(self.b, self.grid) * self.grid)
 
 
-def _certified_error(kind: str, value: float, f_extreme: float, q: float) -> float:
-    if kind == "max":
-        return max(math.sqrt(max(f_extreme, value**2) + q) - value, 0.0)
-    return max(value - math.sqrt(max(f_extreme - q, 0.0)), 0.0)
+def _wrap(theta: float) -> float:
+    t = theta % (2.0 * math.pi)
+    return 0.0 if t >= 2.0 * math.pi else t
+
+
+def _polish(p: Polynomial, r: float, theta: float, maximize: bool, reach: float):
+    """Safeguarded Newton on f'(theta) = 0 from ``theta``: (witness, |P| there).
+
+    Steps are clipped to ``reach`` and taken only while f'' has the sign of
+    the extremum; a step is kept only if |P| improves.  The value is always
+    that of the returned witness.
+    """
+    dp = derivative(p)
+    d2p = derivative(dp)
+    best_t = best_v = None
+    t = _wrap(theta)
+    for _ in range(_POLISH_STEPS):
+        z = r * complex(math.cos(t), math.sin(t))
+        pz = evaluate(p, z)
+        v = abs(pz)
+        if best_v is not None and not (v > best_v if maximize else v < best_v):
+            break
+        best_t, best_v = t, v
+        # f' and f'' from P, z P' and z**2 P'' at z = r e^{i t}.
+        d1 = z * evaluate(dp, z)
+        d2 = z * z * evaluate(d2p, z)
+        grad = -2.0 * (pz.conjugate() * d1).imag
+        curv = 2.0 * abs(d1) ** 2 - 2.0 * (pz.conjugate() * (d1 + d2)).real
+        if not (curv < 0.0 if maximize else curv > 0.0):
+            break
+        t = _wrap(t - max(-reach, min(reach, grad / curv)))
+    return best_t, best_v
 
 
 def circle_extremum(
@@ -132,11 +155,11 @@ def circle_extremum(
     """Certified max or min of |P| on |z| = r.
 
     ``value`` is always an achieved modulus, recomputable as
-    ``abs(evaluate(p, r*exp(1j*witness_theta)))``, and ``certified_error``
-    bounds ``|true - value|``.  For ``kind="min"`` the value may be
-    (numerically) zero when P vanishes on the circle; callers treating the
-    minimum as a strict-positivity witness must require
-    ``value > certified_error``.
+    ``abs(evaluate(p, r*complex(math.cos(t), math.sin(t))))`` for
+    ``t = witness_theta``, and ``certified_error <= eps`` bounds
+    ``|true - value|``.  For ``kind="min"`` the value may be (numerically)
+    zero when P vanishes on the circle; callers treating the minimum as a
+    strict-positivity witness must require ``value > certified_error``.
     """
     if p.is_zero:
         raise ValueError("extremum of the zero polynomial is undefined")
@@ -149,65 +172,61 @@ def circle_extremum(
     if not eps > 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
 
-    cert = _Certifier(p, r)
     maximize = kind == "max"
-    samples = max(4096, 64 * p.degree)
-    while samples <= _MAX_GRID:
-        theta = 2.0 * np.pi * np.arange(samples) / samples
-        vals = _vector_eval_sq(p, r, theta)
-        spacing = 2.0 * np.pi / samples
-        q_grid = cert.stationary_slack(spacing)
-        grid_extreme = float(vals.max() if maximize else vals.min())
+    cert = _Certifier(p, r)
+    rho = cert.rho
+    # The bounds carry rho per evaluation, the pruning margin two more.
+    if not eps > 4.0 * rho:
+        raise ToleranceUnattainableError(
+            f"tolerance {eps:.3g} is below the rounding bound {4.0 * rho:.3g}"
+        )
 
-        # Stage 1: refine the best three brackets and certify off the grid.
-        order = np.argpartition(vals, -3)[-3:] if maximize else np.argpartition(vals, 3)[:3]
-        best_t, best_f = None, None
-        for i in order:
-            t, fv = _ternary(cert.f_scalar, float(theta[i]) - spacing,
-                             float(theta[i]) + spacing, maximize)
-            if best_f is None or (fv > best_f if maximize else fv < best_f):
-                best_t, best_f = t, fv
-        witness = best_t % (2.0 * np.pi)
-        value = abs(evaluate(p, r * complex(math.cos(witness), math.sin(witness))))
-        err = _certified_error(kind, value, grid_extreme, q_grid)
-        if err <= eps:
-            return CircleExtremum(kind, float(r), float(value), float(witness), float(err))
-
-        # Stage 2: densify every bracket that could still hide the extremum.
+    mods = cert.grid_moduli()
+    width = 2.0 * math.pi / cert.grid
+    left = width * np.arange(cert.grid)
+    m_lo, m_hi = mods, np.roll(mods, -1)
+    best = int(mods.argmax() if maximize else mods.argmin())
+    inc_t, inc_v = float(left[best]), float(mods[best])
+    pruned = -math.inf if maximize else math.inf
+    used = cert.grid
+    while True:
+        # A bound on |P| over each bracket: its better end modulus, within rho
+        # of |P|, and the stationary slack of |P|**2 for its width (an
+        # overflowed inf - inf gives no lower bound).
+        slack = cert.stationary_slack(width)
         if maximize:
-            cand = np.nonzero(vals >= grid_extreme - q_grid)[0]
+            bound = np.sqrt(np.maximum(m_lo, m_hi) ** 2 + slack) + rho
+            keep = bound > inc_v + eps - 2.0 * rho
         else:
-            cand = np.nonzero(vals <= grid_extreme + q_grid)[0]
-        if len(cand) <= _MAX_CANDIDATES:
-            if maximize:
-                q_target = max(2.0 * value * eps, eps**2)
-            else:
-                q_target = 2.0 * value * eps - eps**2
-            fine_spacing = min(cert.spacing_for(q_target), spacing) if q_target > 0 else spacing
-            pts = int(math.ceil(2.0 * spacing / max(fine_spacing, 1e-14))) + 1
-            if pts * len(cand) <= _MAX_GRID:
-                offsets = np.linspace(-spacing, spacing, pts)
-                fine = (theta[cand][:, None] + offsets[None, :]).ravel()
-                fvals = _vector_eval_sq(p, r, fine)
-                idx = int(fvals.argmax() if maximize else fvals.argmin())
-                fine_extreme = float(fvals[idx])
-                t, fv = _ternary(cert.f_scalar, float(fine[idx]) - fine_spacing,
-                                 float(fine[idx]) + fine_spacing, maximize)
-                if (fv > fine_extreme) if maximize else (fv < fine_extreme):
-                    cand_t = t
-                else:
-                    cand_t = float(fine[idx])
-                witness = cand_t % (2.0 * np.pi)
-                value = abs(evaluate(p, r * complex(math.cos(witness), math.sin(witness))))
-                q_fine = cert.stationary_slack(fine_spacing)
-                # Brackets excluded above cannot contain the extremum, so the
-                # fine sweep bounds it with the fine-grid slack.
-                err = _certified_error(
-                    kind, value, fine_extreme if not maximize else max(fine_extreme, value**2), q_fine
-                )
-                if err <= eps:
-                    return CircleExtremum(
-                        kind, float(r), float(value), float(witness), float(err)
-                    )
-        samples *= 4
-    raise ToleranceUnattainableError("tolerance unattainable at this degree")
+            low = np.maximum(np.minimum(m_lo, m_hi) - rho, 0.0) ** 2 - slack
+            bound = np.sqrt(np.fmax(low, 0.0))
+            keep = bound < inc_v - eps + 2.0 * rho
+        out = bound[~keep]
+        if len(out):
+            pruned = max(pruned, float(out.max())) if maximize else min(pruned, float(out.min()))
+        if not keep.any():
+            break
+        left, m_lo, m_hi = left[keep], m_lo[keep], m_hi[keep]
+        split = min(_MAX_SPLIT, max(2, _LEVEL_POINTS // len(left)))
+        new = len(left) * (split - 1)
+        used += new
+        if used > _BUDGET or new > _BUDGET // 8:
+            raise ToleranceUnattainableError(
+                f"tolerance {eps:.3g} needs more evaluated points than {_BUDGET}"
+            )
+        cuts = width / split * np.arange(split)
+        theta = (left[:, None] + cuts[None, 1:]).ravel()
+        inner = np.sqrt(_vector_eval_sq(p, r, theta)).reshape(len(left), split - 1)
+        best = int(inner.argmax() if maximize else inner.argmin())
+        if inner.flat[best] > inc_v if maximize else inner.flat[best] < inc_v:
+            inc_t, inc_v = float(theta[best]), float(inner.flat[best])
+        ends = np.concatenate([m_lo[:, None], inner, m_hi[:, None]], axis=1)
+        left = (left[:, None] + cuts[None, :]).ravel()
+        m_lo, m_hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+        width /= split
+
+    witness, value = _polish(p, r, inc_t, maximize, width)
+    err = max(pruned - value if maximize else value - pruned, rho)
+    if not err <= eps:
+        raise ToleranceUnattainableError(f"certified error {err:.3g} exceeds {eps:.3g}")
+    return CircleExtremum(kind, float(r), float(value), float(witness), float(err))

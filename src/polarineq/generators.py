@@ -100,8 +100,10 @@ def dominated_pair_with_roots(
     if cfg.mode != "zeros_inside":
         raise ValueError("dominated pairs require mode zeros_inside")
     f, roots = random_zeros_poly_with_roots(cfg)
-    eps = 1e-6 * modulus_bound(f, max(1.0, cfg.k))
-    m_f = circle_extremum(f, cfg.k, "min", eps=eps).value
+    # A certified lower bound on min |F|, so the domination holds however
+    # close another local minimum of |F| comes to the smallest one.
+    least = circle_extremum(f, cfg.k, "min", eps=1e-9 * modulus_bound(f, cfg.k))
+    m_f = max(least.value - least.certified_error, 0.0)
     monomial = make_poly([0j] * cfg.n + [1.0 + 0j])
     g2 = complex(gamma2)
     for _ in range(16):

@@ -56,7 +56,9 @@ __all__ = [
 DEFAULT_RADII = (1.0, 1.05, 1.5, 3.0)
 DOMINATION_GRID = 4096
 Z_MODULUS_LIMIT = 1e3
-EXTREMUM_EPS_REL = 1e-6
+# Sides are judged at tol_rel 1e-8, so circle extrema are asked for well
+# below that: within their tolerance the extremum's basin is not resolved.
+EXTREMUM_EPS_REL = 1e-10
 
 # Test seam: ids listed here get the leading term of their right side negated.
 # Used only to prove the checkers are not vacuous (mutation sensitivity).

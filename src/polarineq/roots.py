@@ -104,51 +104,62 @@ def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLoca
     best_resid = np.inf
     stall = 0
     used = 0
-    for _ in range(max_iterations):
-        used += 1
-        pv = evaluate(p, z)
-        resid = np.abs(pv)
-        target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
-        # Push to the machine floor so multiple-root clusters tighten as far
-        # as rounding allows, not just to the acceptance threshold.
-        if np.all(resid <= 1e-15 * target / _RESIDUAL_FACTOR):
-            break
-        worst = float((resid / target).max())
-        if worst < best_resid * 0.5:
-            best_resid = worst
-            stall = 0
-        else:
-            stall += 1
-            if stall > 25 and np.all(resid <= target):
+    fixed = False
+    # Overflow far from the roots ends as RootConvergenceError below, so
+    # numpy's overflow and invalid-value warnings on the way are noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(max_iterations):
+            used += 1
+            pv = evaluate(p, z)
+            resid = np.abs(pv)
+            target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
+            # Push to the machine floor so multiple-root clusters tighten as
+            # far as rounding allows, not just to the acceptance threshold.
+            if np.all(resid <= 1e-15 * target / _RESIDUAL_FACTOR):
                 break
-        dv = evaluate(dp, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - w * s
-        corr = np.where(np.abs(denom) > 1e-300, w / denom, w)
-        corr = np.where(np.isfinite(corr), corr, w)
-        active = resid > 1e-15 * target / _RESIDUAL_FACTOR
-        z = np.where(active, z - corr, z)
+            worst = float((resid / target).max())
+            if worst < best_resid * 0.5:
+                best_resid = worst
+                stall = 0
+            else:
+                stall += 1
+                if stall > 25 and np.all(resid <= target):
+                    break
+            dv = evaluate(dp, z)
+            dv = np.where(dv == 0, 1e-300, dv)
+            w = pv / dv
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            s = (1.0 / diff).sum(axis=1)
+            denom = 1.0 - w * s
+            corr = np.where(np.abs(denom) > 1e-300, w / denom, w)
+            corr = np.where(np.isfinite(corr), corr, w)
+            active = resid > 1e-15 * target / _RESIDUAL_FACTOR
+            z_next = np.where(active, z - corr, z)
+            # At a fixed point every further step, and the polish, would
+            # repeat this one, so the verdict is taken from this iterate.
+            if np.array_equal(z_next.view(float), z.view(float), equal_nan=True):
+                fixed = True
+                break
+            z = z_next
 
-    # Newton polish for anything still above the acceptance threshold; the
-    # polish shares the caller's iteration budget.
-    pv = evaluate(p, z)
-    resid = np.abs(pv)
-    target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
-    for _ in range(min(40, max(0, max_iterations - used))):
-        bad = resid > target
-        if not bad.any():
-            break
-        dv = evaluate(dp, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        step = np.where(bad, pv / dv, 0)
-        z = z - step
-        pv = evaluate(p, z)
-        resid = np.abs(pv)
-        target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
+        # Newton polish for anything still above the acceptance threshold;
+        # the polish shares the caller's iteration budget.
+        if not fixed:
+            pv = evaluate(p, z)
+            resid = np.abs(pv)
+            target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
+            for _ in range(min(40, max(0, max_iterations - used))):
+                bad = resid > target
+                if not bad.any():
+                    break
+                dv = evaluate(dp, z)
+                dv = np.where(dv == 0, 1e-300, dv)
+                step = np.where(bad, pv / dv, 0)
+                z = z - step
+                pv = evaluate(p, z)
+                resid = np.abs(pv)
+                target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
 
     # A non-finite residual or target (overflow far from the roots) is no
     # evidence of convergence, though inf <= inf would compare true.

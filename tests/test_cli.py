@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, exit codes, and artifact stability."""
 
 import json
+import warnings
 
 import pytest
 
@@ -134,6 +135,23 @@ def test_roots_overflow_is_an_error_not_a_traceback(tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_roots_overflow_prints_one_error_line(tmp_path, capsys):
+    # The overflow on the way to the error raises no numpy warnings.
+    p, _ = random_zeros_poly_with_roots(
+        GenConfig(n=40, k=0.8, seed=3, mode="zeros_outside_open_disk")
+    )
+    path = tmp_path / "big.json"
+    path.write_text(poly_to_json(p))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["roots", "--poly", str(path)])
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: root finder did not converge within 500 iterations\n"
+    )
 
 
 def test_threads_flag_is_gone(capsys):

@@ -11,7 +11,31 @@ from polarineq import (
     make_poly,
     poly_from_roots,
 )
-from polarineq.extrema import _BLOCK, _vector_eval_sq
+from polarineq import extrema
+from polarineq.extrema import _BLOCK, _abs_sq_fourier, _vector_eval_sq
+from polarineq.generators import GenConfig, random_zeros_poly_with_roots
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counts of scalar evaluations and of points evaluated (FFT grid included)."""
+    counts = {"scalar": 0, "points": 0}
+    real_evaluate, real_grid = extrema.evaluate, extrema._Certifier.grid_moduli
+
+    def evaluate_counted(p, z):
+        if isinstance(z, np.ndarray):
+            counts["points"] += z.size
+        else:
+            counts["scalar"] += 1
+        return real_evaluate(p, z)
+
+    def grid_counted(self):
+        counts["points"] += self.grid
+        return real_grid(self)
+
+    monkeypatch.setattr(extrema, "evaluate", evaluate_counted)
+    monkeypatch.setattr(extrema._Certifier, "grid_moduli", grid_counted)
+    return counts
 
 
 def dense_scan(p, r, kind, points=2**16):
@@ -129,3 +153,56 @@ def test_blocked_grid_kernel_matches_one_shot_horner(length):
     for c in coeffs[::-1]:
         acc = acc * z + c
     assert np.array_equal(_vector_eval_sq(make_poly(coeffs), 1.3, theta), np.abs(acc) ** 2)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 12, 64])
+def test_abs_sq_fourier_matches_its_definition(degree):
+    rng = np.random.default_rng(degree)
+    b = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+    n = len(b)
+    loop = np.array([np.sum(b[l:] * np.conj(b[: n - l])) for l in range(n)])
+    fast = _abs_sq_fourier(b)
+    assert fast.shape == loop.shape
+    assert np.abs(fast - loop).max() <= 1e-13 * np.abs(loop).max()
+
+
+def test_high_degree_min_certifies():
+    # Zeros crowd |z| = 1: min |P| is 2.2e-4 against a max of 121, so a
+    # global curvature bound leaves thousands of candidate brackets.
+    p, _ = random_zeros_poly_with_roots(GenConfig(n=64, k=1.0, seed=0, mode="zeros_inside"))
+    e = circle_extremum(p, 1.0, "min")
+    assert e.certified_error <= 1e-9 * sum(abs(c) for c in p.coeffs)
+    ref_min = dense_scan(p, 1.0, "min", points=2**18)
+    ref_max = dense_scan(p, 1.0, "max", points=2**18)
+    assert e.value <= ref_min + 1e-12 * ref_max
+    assert ref_min >= e.value - e.certified_error - 1e-12 * ref_max
+    assert ref_min - e.value <= 1e-8 * ref_max
+
+
+def test_low_degree_call_makes_few_scalar_evaluations(evaluations):
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n = int(rng.integers(1, 13))
+        p = make_poly(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+        for kind in ("max", "min"):
+            evaluations["scalar"] = 0
+            circle_extremum(p, 1.0, kind)
+            assert evaluations["scalar"] <= 20
+
+
+@pytest.mark.parametrize("coeffs", [[0] * 12 + [1], [1e-12] + [0] * 11 + [1]])
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_flat_modulus_keeps_the_frontier_small(coeffs, kind, evaluations):
+    # |P| is constant, or within 1e-12 of it: every bracket ties the
+    # incumbent, and only the tolerance lets them be pruned.
+    e = circle_extremum(make_poly(coeffs), 1.0, kind)
+    assert e.value == pytest.approx(1.0, abs=2e-12)
+    assert evaluations["points"] <= 1024
+
+
+def test_unattainable_tolerance_raises_before_evaluating(evaluations):
+    rng = np.random.default_rng(2)
+    p = make_poly(rng.standard_normal(13) + 1j * rng.standard_normal(13))
+    with pytest.raises(ToleranceUnattainableError):
+        circle_extremum(p, 1.0, "max", eps=1e-30)
+    assert evaluations["points"] == 0 and evaluations["scalar"] == 0

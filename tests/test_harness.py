@@ -56,10 +56,10 @@ def test_report_bytes_pinned():
     # the old and new hashes in CHANGES.md and updates them here.
     rep = run_suite(list(INEQUALITY_IDS), 1, seed=42)
     assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == (
-        "09e6ca151b3487c37a1f41526e09e3aea274b3b104f95a5b2015a0b96b2f024c"
+        "abd9ee1d5d6feb74c4d533a45621871bc767021791ef2b265993dc1bd9da45ba"
     )
     assert hashlib.sha256(report_to_csv(rep).encode()).hexdigest() == (
-        "365bb89304ca2bcb8291d0e8fe1999c2b5a4f3e1439a73d018f5c32dcbf34ec3"
+        "37a828738c7d4848a481587cd4fe3796fdd818d6d2c228d436363fb61f3659a9"
     )
 
 

@@ -17,6 +17,7 @@ from polarineq import (
     verify_winding,
 )
 from polarineq.generators import GenConfig, random_zeros_poly_with_roots
+from polarineq import roots as roots_module
 from polarineq.roots import zero_location_evidence
 
 
@@ -87,6 +88,31 @@ def test_find_roots_non_finite_residual_is_nonconvergence():
     )
     with pytest.raises(RootConvergenceError):
         find_roots(p)
+
+
+def test_find_roots_fixed_point_ends_the_iteration(monkeypatch):
+    # On the same draw every residual overflows at the start, no iterate is
+    # active and no step moves one: the full 500-step budget (1001
+    # evaluations) reached this very verdict from the starting guesses.
+    p, _ = random_zeros_poly_with_roots(
+        GenConfig(n=40, k=0.8, seed=3, mode="zeros_outside_open_disk")
+    )
+    evaluated = []
+    real = roots_module.evaluate
+
+    def counted(q, z):
+        evaluated.append(q)
+        return real(q, z)
+
+    monkeypatch.setattr(roots_module, "evaluate", counted)
+    with pytest.raises(RootConvergenceError) as info:
+        find_roots(p)
+    assert str(info.value) == "root finder did not converge within 500 iterations"
+    assert sum(q is p for q in evaluated) <= 3
+    cauchy = 1.0 + max(abs(c / p.coeffs[-1]) for c in p.coeffs[:-1])
+    assert len(info.value.roots) == 40
+    assert all(abs(z) == pytest.approx(cauchy, rel=1e-12) for z in info.value.roots)
+    assert all(np.isnan(r) for r in info.value.residuals)
 
 
 def test_count_zeros_inside_small_circle():
