@@ -2,10 +2,10 @@
 
 All randomness flows through numpy's Philox bit generator keyed by a
 ``SeedSequence``; independent streams are split with ``spawn_key`` so that
-parallel trials are replayable from ``(seed, trial index)`` alone.  Where a
-generator plants roots it also returns them, so hypothesis checks can verify
-zero locations from the construction instead of re-deriving multiple roots
-numerically.
+every trial is replayable from ``(seed, trial index)`` alone, whatever ran
+before it.  Where a generator plants roots it also returns them, so
+hypothesis checks can verify zero locations from the construction instead of
+re-deriving multiple roots numerically.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class UsageError(ValueError):
     """Bad ids or options; maps to exit code 1 at the CLI."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     ineq_id: str
     trial: int
@@ -78,7 +78,7 @@ class TrialRecord:
     scale: float
     witness_z: Optional[complex]
     passed: bool
-    extra: dict = field(default_factory=dict)
+    extra: Mapping
 
 
 @dataclass(frozen=True)

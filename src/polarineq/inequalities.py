@@ -2,11 +2,12 @@
 
 Every entry turns one inequality into an evaluable pair of nonnegative sides
 over ``(P, F, spec, z)``.  Hypotheses are verified before any check runs;
-instances that fail them are rejected, never scored.  The checkers sweep z
-over circle grids (with golden-section refinement around the smallest
-slacks), and a finite grid plus refinement stands in for the continuum
-claim: pointwise modulus comparisons are smooth in the angle, so refinement
-bounds the grid error.
+instances that fail them are rejected, never scored.  ``check_inequality``
+is the one sweep routine: it evaluates z on circle grids and zooms in on the
+smallest slacks with batched side evaluations, and a finite grid plus the
+zoom stands in for the continuum claim: pointwise modulus comparisons are
+smooth in the angle, so the zoom bounds the grid error.  ``sharpness_probe``
+runs the same sweep on an equality family.
 
 Slack is oriented so that a valid instance always has nonnegative slack:
 ``rhs - lhs`` for upper bounds, ``lhs - rhs`` for lower bounds (the sides
@@ -19,9 +20,10 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -59,6 +61,15 @@ Z_MODULUS_LIMIT = 1e3
 # Sides are judged at tol_rel 1e-8, so circle extrema are asked for well
 # below that: within their tolerance the extremum's basin is not resolved.
 EXTREMUM_EPS_REL = 1e-10
+# The zoom of check_inequality (see its docstring): 14 levels that shrink 8x
+# narrow the grid spacing by 8**14 = 4.4e12, to about 3e-15 rad at 512
+# angles, the rounding level of an angle near 2*pi.
+ZOOM_BRACKETS = 5
+ZOOM_POINTS = 17
+ZOOM_SHRINK = 8.0
+ZOOM_LEVELS = 14
+# Shared by every report whose entry has no ``tally``.
+NO_EXTRA: Mapping = MappingProxyType({})
 
 # Test seam: ids listed here get the leading term of their right side negated.
 # Used only to prove the checkers are not vacuous (mutation sensitivity).
@@ -228,7 +239,7 @@ class InequalityInstance:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InequalityReport:
     def_id: str
     params: dict
@@ -241,7 +252,7 @@ class InequalityReport:
     angles_per_radius: int
     tol_rel: float
     scale: float
-    extra: dict = field(default_factory=dict)
+    extra: Mapping
 
 
 # ---------------------------------------------------------------------------
@@ -706,55 +717,18 @@ def evaluate_sides(inst: InequalityInstance, z: complex) -> tuple[float, float]:
 
 
 def _effective_radii(defn: InequalityDef, radii) -> tuple[float, ...]:
-    if defn.domain == "unit_circle":
-        return (1.0,)
     out = tuple(float(r) for r in radii)
+    if not out:
+        raise ValueError("radii must name at least one circle")
     for r in out:
-        if r < 1.0 - 1e-12 or r > Z_MODULUS_LIMIT:
+        if not 1.0 - 1e-12 <= r <= Z_MODULUS_LIMIT:
             raise ValueError(f"radius {r} outside the domain [1, {Z_MODULUS_LIMIT}]")
-    return out
+    return (1.0,) if defn.domain == "unit_circle" else out
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min_lockstep(g, los, his, iters: int = 60):
-    """Golden-section minimization of several independent brackets at once.
-
-    ``g(rows, thetas)`` returns a list of floats, the value at ``thetas[j]``
-    for bracket ``rows[j]``.  Each bracket runs the scalar golden-section
-    arithmetic and comparisons unchanged; only the evaluations are batched:
-    one call for every bracket's two interior points, then one call per step.
-    Returns ``(best_value, best_theta)`` per bracket.
-    """
-    m = len(los)
-    los, his = [float(x) for x in los], [float(x) for x in his]
-    cs = [hi - _INV_PHI * (hi - lo) for lo, hi in zip(los, his)]
-    ds = [lo + _INV_PHI * (hi - lo) for lo, hi in zip(los, his)]
-    rows = list(range(m))
-    vals = g(rows + rows, cs + ds)
-    gcs, gds = vals[:m], vals[m:]
-    best = [(gc, c) if gc <= gd else (gd, d) for gc, gd, c, d in zip(gcs, gds, cs, ds)]
-    for _ in range(iters):
-        left = [gc <= gd for gc, gd in zip(gcs, gds)]
-        for j in rows:
-            if left[j]:
-                his[j], ds[j], gds[j] = ds[j], cs[j], gcs[j]
-                cs[j] = his[j] - _INV_PHI * (his[j] - los[j])
-            else:
-                los[j], cs[j], gcs[j] = cs[j], ds[j], gds[j]
-                ds[j] = los[j] + _INV_PHI * (his[j] - los[j])
-        new = [cs[j] if left[j] else ds[j] for j in rows]
-        vals = g(rows, new)
-        for j in rows:
-            v = vals[j]
-            if left[j]:
-                gcs[j] = v
-            else:
-                gds[j] = v
-            if v < best[j][0]:
-                best[j] = (v, new[j])
-    return best
+def _slack_at(inst: InequalityInstance, z) -> np.ndarray:
+    lhs, rhs = inst.defn.sides(inst, z)
+    return _oriented_slack(inst.defn, np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
 
 
 def check_inequality(
@@ -765,18 +739,20 @@ def check_inequality(
 ) -> InequalityReport:
     """Sweep z over the def's domain and report the minimal oriented slack.
 
-    Grids of ``angles_per_radius`` points per radius are refined by
-    golden-section minimization around the five smallest grid slacks.  The
-    five searches run in lockstep: each step evaluates all five new points
-    in one batched side evaluation, with each search's bracket arithmetic
-    unchanged.  For unit-circle entries only the radius-1 slice is swept;
-    parameter-only entries evaluate once.  An entry with a registry
-    ``tally`` has it applied to each radius's grid, and the counts are
-    summed into the report's ``extra``.
+    Each radius gets a grid of ``angles_per_radius`` angles, one batched side
+    evaluation.  The ``ZOOM_BRACKETS`` smallest grid slacks then each start a
+    bracket of +- one grid spacing, and the zoom runs ``ZOOM_LEVELS`` levels:
+    each samples every bracket at ``ZOOM_POINTS`` angles in one batched side
+    evaluation, recentres each bracket on its best sample and shrinks it
+    ``ZOOM_SHRINK`` times.  The witness is the exact z at which the reported
+    slack was computed.  For unit-circle entries only the radius-1 slice is
+    swept; parameter-only entries evaluate once.  An entry with a registry
+    ``tally`` has it applied to each radius's grid, and the counts are summed
+    into the report's ``extra``.
     """
     defn = inst.defn
-    if tol_rel <= 0:
-        raise ValueError("tol_rel must be positive")
+    if not 0.0 < tol_rel < math.inf:
+        raise ValueError(f"tol_rel must be finite and positive, got {tol_rel}")
 
     if defn.domain == "parameter_only":
         lhs, rhs = defn.sides(inst, None)
@@ -796,48 +772,45 @@ def check_inequality(
             angles_per_radius=0,
             tol_rel=tol_rel,
             scale=scale,
+            extra=NO_EXTRA,
         )
 
     if angles_per_radius < 256:
         raise ValueError("angles_per_radius must be at least 256")
     radii_eff = _effective_radii(defn, radii)
 
-    candidates = []  # (slack, radius, theta)
+    candidates = []  # (slack, radius, theta, z)
     samples = 0
-    extra: dict = {}
+    extra = {} if defn.tally else NO_EXTRA
     for r in radii_eff:
         theta = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
         z = r * np.exp(1j * theta)
-        lhs, rhs = defn.sides(inst, z)
-        slack = _oriented_slack(defn, np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+        slack = _slack_at(inst, z)
         samples += angles_per_radius
-        order = np.argsort(slack)[:5]
-        for i in order:
-            candidates.append((float(slack[i]), r, float(theta[i])))
+        for i in np.argsort(slack)[:ZOOM_BRACKETS]:
+            candidates.append((slack[i], r, theta[i], z[i]))
         if defn.tally:
             add_counts(extra, defn.tally(inst, z))
 
     candidates.sort(key=lambda c: c[0])
-    top = candidates[:5]
-    width = 2.0 * np.pi / angles_per_radius
+    best, radius, centre, best_z = map(np.array, zip(*candidates[:ZOOM_BRACKETS]))
+    rows = np.arange(len(best))
+    offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    half = 2.0 * np.pi / angles_per_radius
+    for _ in range(ZOOM_LEVELS):
+        theta = centre[:, None] + half * offsets
+        z = radius[:, None] * np.exp(1j * theta)
+        slack = _slack_at(inst, z.ravel()).reshape(z.shape)
+        i = slack.argmin(axis=1)
+        centre = theta[rows, i]
+        better = slack[rows, i] < best
+        best = np.where(better, slack[rows, i], best)
+        best_z = np.where(better, z[rows, i], best_z)
+        half /= ZOOM_SHRINK
+        samples += z.size
 
-    def g(rows, ts):
-        zz = np.asarray([top[j][1] * complex(math.cos(t), math.sin(t))
-                         for j, t in zip(rows, ts)])
-        lh, rh = defn.sides(inst, zz)
-        slack = _oriented_slack(defn, np.asarray(lh, dtype=float), np.asarray(rh, dtype=float))
-        return slack.tolist()
-
-    refined = _golden_min_lockstep(g, [th0 - width for _, _, th0 in top],
-                                   [th0 + width for _, _, th0 in top])
-    best_slack, best_z = math.inf, None
-    for (slack0, r, th0), (val, th) in zip(top, refined):
-        samples += 2 + 60
-        for v, t in ((val, th), (slack0, th0)):
-            if v < best_slack:
-                best_slack = v
-                best_z = r * complex(math.cos(t), math.sin(t))
-
+    j = int(best.argmin())
+    best_slack, best_z = float(best[j]), complex(best_z[j])
     lhs_w, rhs_w = evaluate_sides(inst, best_z)
     scale = max(lhs_w, rhs_w)
     return InequalityReport(
@@ -880,8 +853,9 @@ def sharpness_probe(
     """Minimal relative slack of ``def_id`` on a named equality family.
 
     Instantiates the extremal polynomial, verifies the hypotheses, and
-    minimizes ``slack / bound`` over the z-grid (bound = the dominating
-    side).  Values at the level of rounding noise certify sharpness.
+    returns the ``rel_slack`` of ``check_inequality`` on it: the smallest
+    slack of the sweep divided by the dominating side at that point.  Values
+    at the level of rounding noise certify sharpness.
     """
     from .generators import extremal_poly_with_roots
 
@@ -894,36 +868,4 @@ def sharpness_probe(
         )
     poly, roots = extremal_poly_with_roots(family, spec.n, a=a, b=b)
     inst = build_instance(def_id, poly, spec, p_roots=roots)
-    defn = inst.defn
-
-    def rel_slack_arr(z):
-        lhs, rhs = defn.sides(inst, z)
-        lhs = np.asarray(lhs, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        bound = rhs if defn.direction == "upper" else lhs
-        return _oriented_slack(defn, lhs, rhs) / np.maximum(bound, 1e-300)
-
-    if defn.domain == "parameter_only":
-        lhs, rhs = defn.sides(inst, None)
-        bound = rhs if defn.direction == "upper" else lhs
-        return float(_oriented_slack(defn, float(lhs), float(rhs)) / max(bound, 1e-300))
-
-    radii_eff = _effective_radii(defn, radii)
-    best = math.inf
-    width = 2.0 * np.pi / angles_per_radius
-    for r in radii_eff:
-        theta = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
-        rel = rel_slack_arr(r * np.exp(1j * theta))
-        order = np.argsort(rel)[:3]
-        best = min(best, float(rel[order[0]]))
-
-        def g(rows, ts):
-            return rel_slack_arr(np.asarray(
-                [r * complex(math.cos(t), math.sin(t)) for t in ts]
-            )).tolist()
-
-        refined = _golden_min_lockstep(g, [float(theta[i]) - width for i in order],
-                                       [float(theta[i]) + width for i in order])
-        for val, _ in refined:
-            best = min(best, val)
-    return best
+    return check_inequality(inst, radii, angles_per_radius).rel_slack

@@ -68,6 +68,21 @@ def test_usage_error_exit_code(capsys):
     assert main(["frob"]) == 1  # unknown subcommand
 
 
+@pytest.mark.parametrize(
+    "flag, value, names",
+    [("--radii", "", "radii"), ("--radii", "nan", "radius"),
+     ("--tol", "nan", "tol_rel"), ("--tol", "inf", "tol_rel")],
+    ids=["radii-empty", "radii-nan", "tol-nan", "tol-inf"],
+)
+def test_bad_sweep_input_is_one_error_line(flag, value, names, capsys):
+    rc = main(["check", "--ineq", "ALL", "--trials", "1", flag, value])
+    assert rc == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]
+    assert captured.out == ""
+
+
 def test_sharpness_cli(capsys):
     rc = main(["sharpness", "--ineq", "AE", "--family", "half", "--n", "6",
                "--alpha", "3"])

@@ -56,11 +56,21 @@ def test_report_bytes_pinned():
     # the old and new hashes in CHANGES.md and updates them here.
     rep = run_suite(list(INEQUALITY_IDS), 1, seed=42)
     assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == (
-        "abd9ee1d5d6feb74c4d533a45621871bc767021791ef2b265993dc1bd9da45ba"
+        "7434b24e43c34ca020b9828f9ec4510a20a0852bb1a5d185f53e322872a43b92"
     )
     assert hashlib.sha256(report_to_csv(rep).encode()).hexdigest() == (
-        "37a828738c7d4848a481587cd4fe3796fdd818d6d2c228d436363fb61f3659a9"
+        "4af5d45d33e8166191e7482dbe573af117e3e3c48977867c05e7add31dff4ce6"
     )
+
+
+def test_records_are_slotted_and_share_the_empty_extra():
+    rep = run_suite(["E1", "TE3"], 10, seed=19)
+    assert all(not hasattr(r, "__dict__") for r in rep.records)
+    e1 = [r for r in rep.records if r.ineq_id == "E1"]
+    assert all(r.extra is e1[0].extra for r in e1) and not e1[0].extra
+    with pytest.raises(TypeError):
+        e1[0].extra["min_term_sign_counts"] = {}
+    assert rep.results[1]["min_term_sign_counts"] == {"neg": 266, "nonneg": 20214}
 
 
 def test_json_schema_round_trip():

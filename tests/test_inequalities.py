@@ -10,6 +10,9 @@ Hand-derived expectations (frozen after expanding the operators on paper):
   rhs = 2 * ((3-1)/2) * |1+1|^2 = 8.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -33,7 +36,7 @@ from polarineq.generators import (
     random_zeros_poly_with_roots,
 )
 from polarineq.harness import regenerate_instance
-from polarineq.inequalities import _INV_PHI, _golden_min_lockstep, _oriented_slack
+from polarineq.inequalities import _oriented_slack
 from polarineq.poly import scale
 
 
@@ -191,6 +194,62 @@ def test_check_rejects_bad_angles_and_radii():
         check_inequality(inst, radii=(0.5, 1.0))
 
 
+def test_check_rejects_empty_and_nan_radii():
+    inst = _te1_instance()
+    with pytest.raises(ValueError, match="radii"):
+        check_inequality(inst, radii=())
+    with pytest.raises(ValueError, match="radius"):
+        check_inequality(inst, radii=(1.0, float("nan")))
+
+
+def test_check_rejects_non_finite_tolerance():
+    # An infinite tolerance would pass the sign-flipped TE2 violation.
+    cfg = GenConfig(n=5, k=0.5, seed=51, mode="zeros_outside_open_disk")
+    p, roots = random_zeros_poly_with_roots(cfg)
+    spec = PolarSpec(n=5, s=1, k=0.5, alphas=(1.0,), beta=0.5)
+    inst = build_instance("TE2", p, spec, p_roots=roots)
+    with rhs_sign_flip("TE2"):
+        for tol in (math.inf, math.nan, 0.0, -1e-8):
+            with pytest.raises(ValueError, match="tol_rel"):
+                check_inequality(inst, tol_rel=tol)
+
+
+def test_one_side_evaluation_per_grid_and_zoom_level():
+    # One batched call per radius, one per zoom level, one at the witness.
+    for ineq_id in INEQUALITY_IDS:
+        inst = regenerate_instance(ineq_id, 5, 0)
+        if inst.defn.domain == "parameter_only":
+            continue
+        sizes = []
+        sides = inst.defn.sides
+
+        def counted(inst_, z, sides=sides, sizes=sizes):
+            sizes.append(np.size(z))
+            return sides(inst_, z)
+
+        inst.defn = dataclasses.replace(inst.defn, sides=counted)
+        rep = check_inequality(inst)
+        assert len(sizes) == len(rep.radii) + 14 + 1, ineq_id
+        assert rep.samples == sum(sizes[:-1]) and sizes[-1] == 1, ineq_id
+
+
+def test_zoom_finds_an_off_grid_maximum():
+    # |P'| = |n z^(n-1) + b| on |z| = 1 peaks at n + |b| where z^(n-1) lines
+    # up with b.  arg b puts all four peaks a third of a spacing off the
+    # 512-angle grid, where the grid alone misses n + |b| by about 1e-5; a
+    # third is not a multiple of any 8**-L, so no zoom sample lands on a peak.
+    n, angles = 5, 512
+    peak = (100.0 + 1.0 / 3.0) * 2.0 * math.pi / angles
+    b = 0.6 * complex(math.cos((n - 1) * peak), math.sin((n - 1) * peak))
+    p = make_poly([0, b, 0, 0, 0, 1])
+    inst = build_instance("E1", p, PolarSpec(n=n, s=0, k=1.0))
+    rep = check_inequality(inst, angles_per_radius=angles)
+    grid_units = (np.angle(rep.witness_z) % (2.0 * math.pi)) * angles / (2.0 * math.pi)
+    assert abs(grid_units - round(grid_units)) > 0.3
+    lhs, _ = evaluate_sides(inst, rep.witness_z)
+    assert abs(lhs - (n + abs(b))) <= 1e-14 * (n + abs(b))
+
+
 def test_reduction_te2_to_ae():
     # At beta = 0, k = 1 the TE2 sides equal |z|^s times the AE sides; on the
     # unit circle they coincide exactly.
@@ -316,69 +375,14 @@ def test_te2_mutation_seam():
     "ineq_id", [i for i in INEQUALITY_IDS if REGISTRY[i].domain != "parameter_only"]
 )
 def test_sides_return_one_value_per_point(ineq_id):
-    # The refinement turns each step's slack array straight into a list of
-    # per-bracket values, so every z-dependent side must be shaped like z.
+    # The zoom reshapes each level's slack array into one row per bracket, so
+    # every z-dependent side must be shaped like z.
     inst = regenerate_instance(ineq_id, 5, 0)
     z = np.exp(1j * np.linspace(0.1, 6.0, 5))
     lhs, rhs = inst.defn.sides(inst, z)
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     assert lhs.shape == rhs.shape == (5,)
     assert _oriented_slack(inst.defn, lhs, rhs).shape == (5,)
-
-
-def _golden_min_reference(g, lo, hi, iters=60):
-    # The one-bracket scalar search that the lockstep routine must reproduce.
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    gc, gd = g(c), g(d)
-    best_v, best_t = (gc, c) if gc <= gd else (gd, d)
-    for _ in range(iters):
-        if gc <= gd:
-            hi, d, gd = d, c, gc
-            c = hi - _INV_PHI * (hi - lo)
-            gc = g(c)
-            if gc < best_v:
-                best_v, best_t = gc, c
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _INV_PHI * (hi - lo)
-            gd = g(d)
-            if gd < best_v:
-                best_v, best_t = gd, d
-    return best_v, best_t
-
-
-@pytest.mark.parametrize(
-    "f",
-    [
-        lambda t: float(np.cos(3.0 * t) + 0.1 * t * t),  # smooth
-        lambda t: float(np.floor(4.0 * t) ** 2),  # plateaus: exact gc == gd ties
-        lambda t: 0.75,  # constant
-    ],
-    ids=["smooth", "ties", "constant"],
-)
-def test_golden_min_lockstep_matches_scalar(f):
-    rng = np.random.default_rng(8)
-    centers = rng.uniform(-3.0, 3.0, 7)
-    widths = rng.uniform(0.01, 1.5, 7)
-    los = [float(c - w) for c, w in zip(centers, widths)]
-    his = [float(c + w) for c, w in zip(centers, widths)]
-    calls, points = [], [[] for _ in los]
-
-    def g(rows, ts):
-        calls.append(len(ts))
-        for j, t in zip(rows, ts):
-            points[j].append(t)
-        return [f(t) for t in ts]
-
-    got = _golden_min_lockstep(g, los, his)
-    assert calls == [2 * len(los)] + [len(los)] * 60
-    for (v, t), lo, hi, pts in zip(got, los, his, points):
-        ref_pts = []
-        ref_v, ref_t = _golden_min_reference(lambda x: ref_pts.append(x) or f(x), lo, hi)
-        assert pts == ref_pts  # the same probe points, in the same order
-        assert (v, t) == (ref_v, ref_t)
-        assert type(v) is float and type(t) is float
 
 
 def test_sharpness_probes():
