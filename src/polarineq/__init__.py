@@ -11,6 +11,7 @@ from .generators import (
 )
 from .harness import (
     SuiteReport,
+    TrialError,
     TrialRecord,
     UsageError,
     emit_report,

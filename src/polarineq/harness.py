@@ -42,6 +42,7 @@ from .polar import PolarSpec
 
 __all__ = [
     "UsageError",
+    "TrialError",
     "TrialRecord",
     "SuiteReport",
     "run_suite",
@@ -61,6 +62,14 @@ FUZZ_RADII = (1.0, 1.0 + 1e-6, 1.05)
 
 class UsageError(ValueError):
     """Bad ids or options; maps to exit code 1 at the CLI."""
+
+
+class TrialError(RuntimeError):
+    """An error raised inside one trial, tagged with its replay key."""
+
+    def __init__(self, ineq_id: str, seed: int, trial: int, exc: BaseException):
+        super().__init__(f"{ineq_id} seed {seed} trial {trial}: {type(exc).__name__}: {exc}")
+        self.ineq_id, self.seed, self.trial = ineq_id, seed, trial
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,10 +204,13 @@ def _run_trial(
     tol_rel: float,
     aggressive: bool = False,
 ) -> TrialRecord:
-    inst = regenerate_instance(def_id, seed, trial, aggressive=aggressive)
-    report = check_inequality(
-        inst, radii=radii, angles_per_radius=angles_per_radius, tol_rel=tol_rel
-    )
+    try:
+        inst = regenerate_instance(def_id, seed, trial, aggressive=aggressive)
+        report = check_inequality(
+            inst, radii=radii, angles_per_radius=angles_per_radius, tol_rel=tol_rel
+        )
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        raise TrialError(def_id, seed, trial, exc) from exc
     return TrialRecord(
         ineq_id=def_id,
         trial=trial,

@@ -1,12 +1,13 @@
 """Numerical root localization and disk-containment predicates.
 
-``find_roots`` runs Aberth-Ehrlich simultaneous iteration from deterministic
-golden-angle initial guesses on the Cauchy-bound circle, then polishes with
-Newton steps.  Convergence is judged by residuals: a root is accepted when
-``|P(r)| <= 1e-10 * sum(|a_j| * max(1,|r|)**j)``, and a residual or scale
-that overflowed to inf or NaN is non-convergence, never a pass.  Multiple
-roots are returned as clusters (no deflation); containment queries absorb
-finder error through ``root_tol``.
+``find_roots`` runs Aberth-Ehrlich simultaneous iteration on ``Q = P / z**j0``
+(the ``j0`` zeros at the origin are exact), started from Bini's Newton-polygon
+radii.  Past ``|z| = 1`` it evaluates the reversed polynomial at ``1/z``, so
+no value overflows for zeros a double can hold.  An iterate converges when
+its backward error ``|Q(z)| / sum(|a_j| * |z|**j)`` is at most ``4 * m * eps``;
+NaN or an overflowed scale never converges.  Multiple roots are returned as
+clusters (no deflation); containment queries absorb finder error through
+``root_tol``.
 
 ``count_zeros_in_disk`` counts zeros by accumulating the phase of P along the
 circle (argument principle) and is fully independent of the iterative finder,
@@ -41,12 +42,11 @@ __all__ = [
 ]
 
 ROOT_TOL = 1e-7
-_RESIDUAL_FACTOR = 1e-10
 _MAX_ITERATIONS = 500
 
 
 class RootConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the best iterate found."""
+    """No convergence within the budget; carries the last iterates and residuals."""
 
     def __init__(self, message: str, roots, residuals):
         super().__init__(message)
@@ -72,104 +72,89 @@ class ZeroLocationReport:
         return self.min_modulus >= k - self.root_tol
 
 
-def _residual_scales(abs_coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # sum(|a_j| * max(1,|z|)**j) per point
-    base = np.maximum(1.0, np.abs(z))
-    scales = np.zeros(z.shape)
-    power = np.ones(z.shape)
-    for a in abs_coeffs:
-        scales += a * power
-        power *= base
-    return scales
+def _newton_polygon_start(coeffs) -> np.ndarray:
+    """Bini's starting points: one circle per edge of the Newton polygon.
+
+    The edge of the upper convex hull of ``(j, log|a_j|)`` from ``i`` to ``k``
+    puts ``k - i`` points on the circle of radius
+    ``(|a_i| / |a_k|)**(1 / (k - i))`` at fixed angles.
+    """
+    logs = np.log(np.abs(np.asarray(coeffs)))
+    n = len(logs) - 1
+    z, i = np.empty(n, dtype=complex), 0
+    while i < n:
+        slopes = (logs[i + 1:] - logs[i]) / np.arange(1, n - i + 1)
+        k = n - int(np.argmax(slopes[::-1]))  # farthest vertex on the steepest chord
+        theta = 2.0 * np.pi * (np.arange(k - i) / (k - i) + i / n) + 0.7
+        z[i:k] = np.exp(1j * theta - slopes[k - i - 1])
+        i = k
+    return z
 
 
 def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLocationReport:
-    """All ``degree`` roots with multiplicity, by simultaneous iteration."""
+    """All ``degree`` roots with multiplicity, by Aberth iteration."""
     n = p.degree
     if n < 1:
         raise ValueError("root finding needs degree >= 1")
-    dp = derivative(p)
-    coeffs = np.asarray(p.coeffs, dtype=complex)
-    abs_coeffs = np.abs(coeffs)
+    # P = z**j0 * Q with Q(0) != 0: the zeros at the origin are exact.
+    j0 = next(j for j, c in enumerate(p.coeffs) if c != 0)
+    q = Polynomial(p.coeffs[j0:])
+    m = q.degree
+    rev = Polynomial(q.coeffs[::-1])  # R(y) = y**m * Q(1/y)
+    near = (q, derivative(q), Polynomial(tuple(abs(c) for c in q.coeffs)))
+    far = (rev, derivative(rev), Polynomial(tuple(abs(c) for c in rev.coeffs)))
 
-    monic = np.abs(coeffs / coeffs[-1])
-    radius = 1.0 + float(monic[:-1].max())
-    # Golden-angle spacing breaks root symmetries without any seed.
-    idx = np.arange(n)
-    theta = 2.0 * np.pi * ((idx * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0) + 0.5
-    z = radius * np.exp(1j * theta)
+    def newton(z):
+        """Q/Q' as (numerator, denominator), backward error and |P| at z."""
+        # Past |z| = 1 (and at NaN): R at y = 1/z, where Q/Q' = z*R / (m*R - y*R').
+        inside = np.abs(z) <= 1
+        x = np.where(inside, z, 1.0 / z)
+        fx, dfx, scale = np.empty_like(z), np.empty_like(z), np.empty(z.shape)
+        for mask, (f, df, af) in ((inside, near), (~inside, far)):
+            if mask.any():
+                fx[mask], dfx[mask] = evaluate(f, x[mask]), evaluate(df, x[mask])
+                scale[mask] = evaluate(af, np.abs(x[mask])).real
+        num = np.where(inside, fx, fx / x)
+        den = np.where(inside, dfx, m * fx - x * dfx)
+        resid = np.abs(fx) * np.where(inside, np.abs(x) ** j0, np.abs(x) ** -n)
+        # An overflowed scale is no evidence: |P| / inf would read as converged.
+        berr = np.where(np.isfinite(scale), np.abs(fx) / scale, np.nan)
+        return num, den, berr, resid
 
-    target = np.empty(n)
-    resid = np.empty(n)
-    best_resid = np.inf
-    stall = 0
-    used = 0
-    fixed = False
-    # Overflow far from the roots ends as RootConvergenceError below, so
-    # numpy's overflow and invalid-value warnings on the way are noise.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    tol = 4 * m * np.finfo(float).eps
+    # A hopeless input (overflowing coefficients) ends as RootConvergenceError
+    # below, so numpy's overflow and invalid-value warnings on the way are noise.
+    with np.errstate(all="ignore"):
+        z = _newton_polygon_start(q.coeffs)
+        num, den, berr, resid = newton(z)
+        met = np.zeros(m, dtype=bool)
         for _ in range(max_iterations):
-            used += 1
-            pv = evaluate(p, z)
-            resid = np.abs(pv)
-            target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
-            # Push to the machine floor so multiple-root clusters tighten as
-            # far as rounding allows, not just to the acceptance threshold.
-            if np.all(resid <= 1e-15 * target / _RESIDUAL_FACTOR):
+            # An iterate is frozen once it meets the test twice running: the
+            # step after the first time takes it from the edge of the
+            # pseudo-zero set to the rounding floor.  NaN never meets it.
+            active = ~(met & (berr <= tol))
+            if not active.any():
                 break
-            worst = float((resid / target).max())
-            if worst < best_resid * 0.5:
-                best_resid = worst
-                stall = 0
-            else:
-                stall += 1
-                if stall > 25 and np.all(resid <= target):
-                    break
-            dv = evaluate(dp, z)
-            dv = np.where(dv == 0, 1e-300, dv)
-            w = pv / dv
-            diff = z[:, None] - z[None, :]
+            met = berr <= tol
+            diff = z[:, None] - z
             np.fill_diagonal(diff, np.inf)
             s = (1.0 / diff).sum(axis=1)
-            denom = 1.0 - w * s
-            corr = np.where(np.abs(denom) > 1e-300, w / denom, w)
-            corr = np.where(np.isfinite(corr), corr, w)
-            active = resid > 1e-15 * target / _RESIDUAL_FACTOR
-            z_next = np.where(active, z - corr, z)
-            # At a fixed point every further step, and the polish, would
-            # repeat this one, so the verdict is taken from this iterate.
+            z_next = np.where(active, z - num / (den - num * s), z)
+            # At a fixed point every further step would repeat this one.
             if np.array_equal(z_next.view(float), z.view(float), equal_nan=True):
-                fixed = True
                 break
             z = z_next
+            num[active], den[active], berr[active], resid[active] = newton(z[active])
 
-        # Newton polish for anything still above the acceptance threshold;
-        # the polish shares the caller's iteration budget.
-        if not fixed:
-            pv = evaluate(p, z)
-            resid = np.abs(pv)
-            target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
-            for _ in range(min(40, max(0, max_iterations - used))):
-                bad = resid > target
-                if not bad.any():
-                    break
-                dv = evaluate(dp, z)
-                dv = np.where(dv == 0, 1e-300, dv)
-                step = np.where(bad, pv / dv, 0)
-                z = z - step
-                pv = evaluate(p, z)
-                resid = np.abs(pv)
-                target = _RESIDUAL_FACTOR * _residual_scales(abs_coeffs, z)
-
-    # A non-finite residual or target (overflow far from the roots) is no
-    # evidence of convergence, though inf <= inf would compare true.
-    if not (np.isfinite(target).all() and np.all(resid <= target)):
+    if not np.all(berr <= tol):
         raise RootConvergenceError(
             f"root finder did not converge within {max_iterations} iterations",
             z.tolist(),
             resid.tolist(),
         )
 
+    z = np.concatenate([np.zeros(j0, complex), z])
+    resid = np.concatenate([np.zeros(j0), resid])
     moduli = np.abs(z)
     order = np.lexsort((z.imag, z.real))
     return ZeroLocationReport(

@@ -7,7 +7,6 @@ import pytest
 
 from polarineq import poly_to_json
 from polarineq.cli import main
-from polarineq.generators import GenConfig, random_zeros_poly_with_roots
 from polarineq.poly import make_poly
 
 
@@ -138,11 +137,9 @@ def test_missing_poly_file(capsys):
 
 
 def test_roots_overflow_is_an_error_not_a_traceback(tmp_path, capsys):
-    # Degree 40 with zeros out to modulus 3.4: the coefficient scale sum on
-    # the Cauchy-bound circle overflows a float.
-    p, _ = random_zeros_poly_with_roots(
-        GenConfig(n=40, k=0.8, seed=3, mode="zeros_outside_open_disk")
-    )
+    # Every coefficient is 1e308: values and the coefficient scale sum
+    # overflow a float at every start point.
+    p = make_poly([1e308, 1e308, 1e308])
     path = tmp_path / "big.json"
     path.write_text(poly_to_json(p))
     rc = main(["roots", "--poly", str(path)])
@@ -154,9 +151,7 @@ def test_roots_overflow_is_an_error_not_a_traceback(tmp_path, capsys):
 
 def test_roots_overflow_prints_one_error_line(tmp_path, capsys):
     # The overflow on the way to the error raises no numpy warnings.
-    p, _ = random_zeros_poly_with_roots(
-        GenConfig(n=40, k=0.8, seed=3, mode="zeros_outside_open_disk")
-    )
+    p = make_poly([1e308, 1e308, 1e308])
     path = tmp_path / "big.json"
     path.write_text(poly_to_json(p))
     with warnings.catch_warnings(record=True) as caught:

@@ -7,6 +7,8 @@ import pytest
 
 from polarineq import (
     INEQUALITY_IDS,
+    ToleranceUnattainableError,
+    TrialError,
     UsageError,
     fuzz_search,
     regenerate_instance,
@@ -15,6 +17,7 @@ from polarineq import (
     run_suite,
 )
 from polarineq import harness
+from polarineq.cli import main
 from polarineq.harness import emit_report, report_to_csv, report_to_json
 
 
@@ -71,6 +74,33 @@ def test_records_are_slotted_and_share_the_empty_extra():
     with pytest.raises(TypeError):
         e1[0].extra["min_term_sign_counts"] = {}
     assert rep.results[1]["min_term_sign_counts"] == {"neg": 266, "nonneg": 20214}
+
+
+def test_trial_error_names_the_replay_key(monkeypatch, capsys):
+    real = harness.check_inequality
+    calls = []
+
+    def failing(inst, **kwargs):
+        calls.append(inst)
+        if len(calls) == 3:
+            raise ToleranceUnattainableError("needs more evaluated points")
+        return real(inst, **kwargs)
+
+    monkeypatch.setattr(harness, "check_inequality", failing)
+    with pytest.raises(TrialError) as excinfo:
+        run_suite(["TE1"], 5, seed=8)
+    err = excinfo.value
+    assert (err.ineq_id, err.seed, err.trial) == ("TE1", 8, 2)
+    assert isinstance(err.__cause__, ToleranceUnattainableError)
+    assert str(err) == (
+        "TE1 seed 8 trial 2: ToleranceUnattainableError: needs more evaluated points"
+    )
+
+    calls.clear()
+    assert main(["check", "--ineq", "TE1", "--trials", "5", "--seed", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {err}"]
+    assert captured.out == ""
 
 
 def test_json_schema_round_trip():
