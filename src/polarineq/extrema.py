@@ -12,8 +12,8 @@ bracket or a stationary point, and a stationary point sits at most
 angles (Piyavskii 1972; Shubert 1972):
 
 - The first level samples |P| on a uniform grid of ``8 * (degree + 1)``
-  angles or more, rounded up to a power of two, with one FFT of the
-  zero-padded ``a_j * r**j``.  Every gap between neighbouring samples is a
+  angles or more, rounded up to a power of two, with one FFT
+  (``poly.circle_values``).  Every gap between neighbouring samples is a
   bracket.
 - A bracket's bound on |P| is its better end value plus the stationary
   slack ``q(width)``, widened by ``rho``: an explicit bound on the rounding
@@ -24,6 +24,15 @@ angles (Piyavskii 1972; Shubert 1972):
   more than the tolerance, cuts every survivor into equal parts (up to 32,
   aiming at about 1024 new angles per level, never fewer than 2 parts) and
   evaluates all the new angles in one batched ``poly.evaluate`` pass.
+- The global ``L2`` does not shrink with min |P|, so near a deep minimum
+  it keeps hundreds of thousands of brackets alive.  Once a min frontier
+  passes ``_CHORD_FRONTIER`` brackets, the complex values of P at the
+  survivors' ends are evaluated and carried from then on, and each bracket
+  also gets the chord bound: |P| is at least the distance from 0 to the
+  chord between its end values, less ``rho`` and ``M2 * width**2 / 8`` with
+  ``M2 = sum j**2 |a_j| r**j`` (the interpolation error of a chord, which
+  holds for complex-valued functions).  Smaller frontiers, and every max
+  call, keep the moduli alone.
 - When the frontier is empty, the worst pruned bound certifies the
   incumbent.  Only that incumbent is polished, by safeguarded Newton steps
   on ``f'(theta) = 0`` with P, P' and P''.
@@ -45,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, derivative, evaluate, modulus_bound
+from .poly import Polynomial, circle_values, derivative, evaluate, modulus_bound
 
 __all__ = ["CircleExtremum", "ToleranceUnattainableError", "circle_extremum"]
 
@@ -53,6 +62,7 @@ _BUDGET = 2**22  # evaluated points per call; a level adds at most _BUDGET // 8
 _BLOCK = 2**14
 _MAX_SPLIT = 32  # most parts one bracket is cut into
 _LEVEL_POINTS = 1024  # new points per level that the split aims at
+_CHORD_FRONTIER = 4096  # a min frontier past this many brackets gets chord bounds
 _POLISH_STEPS = 8
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -75,15 +85,14 @@ def _abs_sq_fourier(b: np.ndarray) -> np.ndarray:
     return np.correlate(b, b, "full")[len(b) - 1:]
 
 
-def _vector_eval_sq(p: Polynomial, r: float, theta: np.ndarray) -> np.ndarray:
-    # Evaluate over blocks of _BLOCK angles, so the complex temporaries stay
+def _vector_eval(p: Polynomial, r: float, theta: np.ndarray) -> np.ndarray:
+    # Evaluate over blocks of _BLOCK angles, so the temporaries stay
     # cache-sized (a whole level's z of up to 2**19 angles would add to the
     # peak memory); every element is computed exactly as in one whole-array pass.
     theta = np.asarray(theta, dtype=float)
-    out = np.empty(theta.shape)
+    out = np.empty(theta.shape, dtype=complex)
     for start in range(0, len(theta), _BLOCK):
-        z = r * np.exp(1j * theta[start:start + _BLOCK])
-        out[start:start + _BLOCK] = np.abs(evaluate(p, z)) ** 2
+        out[start:start + _BLOCK] = evaluate(p, r * np.exp(1j * theta[start:start + _BLOCK]))
     return out
 
 
@@ -91,9 +100,9 @@ class _Certifier:
     """Coefficient-sum bounds on f = |P(r e^{i theta})|**2 and on its rounding."""
 
     def __init__(self, p: Polynomial, r: float):
+        self.p, self.r = p, r
         self.b = np.asarray(p.coeffs, dtype=complex) * r ** np.arange(len(p.coeffs))
-        # The first level's grid; ifft(b, grid) would silently truncate b if
-        # grid < len(b).
+        # The first level's grid, at least 8 samples per coefficient.
         self.grid = 1 << max(6, (8 * len(self.b) - 1).bit_length())
         fourier = _abs_sq_fourier(self.b)
         ls = np.arange(1, len(fourier))
@@ -111,8 +120,25 @@ class _Certifier:
         return min(self.lip1 * half, 0.5 * self.lip2 * half**2)
 
     def grid_moduli(self) -> np.ndarray:
-        # |P| at theta_k = 2*pi*k/grid, as P(r e^{i theta_k}) = grid * ifft(b, grid)[k].
-        return np.abs(np.fft.ifft(self.b, self.grid) * self.grid)
+        # |P| at theta_k = 2*pi*k/grid, by FFT.
+        return np.abs(circle_values(self.p, self.r, self.grid))
+
+    def chord_bound(self, v_lo: np.ndarray, v_hi: np.ndarray, width: float) -> np.ndarray:
+        """Lower bounds on |P| over brackets of ``width`` from P at their ends.
+
+        On a bracket, P is within ``M2 * width**2 / 8`` of its chord, where
+        ``M2 = sum j**2 |b_j|`` bounds |d**2 P / d theta**2|, and the computed
+        ends are within ``rho`` of P.  A chord that is a point or whose
+        length overflows gives NaN, which ``np.fmax`` passes over.
+        """
+        m2 = float(np.sum(np.arange(len(self.b)) ** 2 * np.abs(self.b)))
+        with np.errstate(all="ignore"):
+            d = v_hi - v_lo
+            dd = d.real**2 + d.imag**2
+            t = np.divide(-(v_lo.real * d.real + v_lo.imag * d.imag), dd,
+                          out=np.full(dd.shape, np.nan), where=np.isfinite(dd) & (dd > 0))
+            dist = np.abs(v_lo + np.clip(t, 0.0, 1.0) * d)
+            return dist - self.rho - m2 * width**2 / 8.0
 
 
 def _wrap(theta: float) -> float:
@@ -185,6 +211,7 @@ def circle_extremum(
     width = 2.0 * math.pi / cert.grid
     left = width * np.arange(cert.grid)
     m_lo, m_hi = mods, np.roll(mods, -1)
+    ends = None  # complex P at each bracket's ends, once the chord bound is on
     best = int(mods.argmax() if maximize else mods.argmin())
     inc_t, inc_v = float(left[best]), float(mods[best])
     pruned = -math.inf if maximize else math.inf
@@ -200,6 +227,8 @@ def circle_extremum(
         else:
             low = np.maximum(np.minimum(m_lo, m_hi) - rho, 0.0) ** 2 - slack
             bound = np.sqrt(np.fmax(low, 0.0))
+            if ends is not None:
+                bound = np.fmax(bound, cert.chord_bound(*ends, width))
             keep = bound < inc_v - eps + 2.0 * rho
         out = bound[~keep]
         if len(out):
@@ -207,22 +236,33 @@ def circle_extremum(
         if not keep.any():
             break
         left, m_lo, m_hi = left[keep], m_lo[keep], m_hi[keep]
+        chord_on = ends is None and not maximize and len(left) > _CHORD_FRONTIER
         split = min(_MAX_SPLIT, max(2, _LEVEL_POINTS // len(left)))
         new = len(left) * (split - 1)
-        used += new
+        used += new + (2 * len(left) if chord_on else 0)
         if used > _BUDGET or new > _BUDGET // 8:
             raise ToleranceUnattainableError(
                 f"tolerance {eps:.3g} needs more evaluated points than {_BUDGET}"
             )
+        if chord_on:
+            ends = _vector_eval(p, r, np.concatenate([left, left + width])).reshape(2, -1)
+        elif ends is not None:
+            ends = ends[:, keep]
         cuts = width / split * np.arange(split)
         theta = (left[:, None] + cuts[None, 1:]).ravel()
-        inner = np.sqrt(_vector_eval_sq(p, r, theta)).reshape(len(left), split - 1)
+        values = _vector_eval(p, r, theta).reshape(len(left), split - 1)
+        if ends is None:
+            inner = np.sqrt(np.abs(values) ** 2)
+        else:
+            inner = np.abs(values)
+            cz = np.concatenate([ends[0][:, None], values, ends[1][:, None]], axis=1)
+            ends = np.stack([cz[:, :-1].ravel(), cz[:, 1:].ravel()])
         best = int(inner.argmax() if maximize else inner.argmin())
         if inner.flat[best] > inc_v if maximize else inner.flat[best] < inc_v:
             inc_t, inc_v = float(theta[best]), float(inner.flat[best])
-        ends = np.concatenate([m_lo[:, None], inner, m_hi[:, None]], axis=1)
+        row = np.concatenate([m_lo[:, None], inner, m_hi[:, None]], axis=1)
         left = (left[:, None] + cuts[None, :]).ravel()
-        m_lo, m_hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+        m_lo, m_hi = row[:, :-1].ravel(), row[:, 1:].ravel()
         width /= split
 
     witness, value = _polish(p, r, inc_t, maximize, width)

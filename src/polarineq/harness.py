@@ -36,6 +36,7 @@ from .inequalities import (
     add_counts,
     build_instance,
     check_inequality,
+    check_sweep_options,
     evaluate_sides,
 )
 from .polar import PolarSpec
@@ -246,6 +247,10 @@ def run_suite(
     ids = _validate_ids(ineq_ids)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    try:
+        radii = check_sweep_options(radii, angles_per_radius, tol_rel)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     start = time.perf_counter()
     records = [
         _run_trial(def_id, seed, trial, radii, angles_per_radius, tol_rel)
@@ -284,7 +289,7 @@ def run_suite(
             "trials": trials,
             "seed": seed,
             "tol_rel": tol_rel,
-            "radii": [float(r) for r in radii],
+            "radii": list(radii),
             "angles_per_radius": angles_per_radius,
         },
         records=tuple(records),

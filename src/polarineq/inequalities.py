@@ -51,6 +51,7 @@ __all__ = [
     "build_instance",
     "evaluate_sides",
     "check_inequality",
+    "check_sweep_options",
     "sharpness_probe",
     "rhs_sign_flip",
 ]
@@ -716,14 +717,22 @@ def evaluate_sides(inst: InequalityInstance, z: complex) -> tuple[float, float]:
     return float(np.asarray(lhs).reshape(-1)[0]), float(np.asarray(rhs).reshape(-1)[0])
 
 
-def _effective_radii(defn: InequalityDef, radii) -> tuple[float, ...]:
+def check_sweep_options(radii, angles_per_radius: int, tol_rel: float) -> tuple[float, ...]:
+    """The radii as floats, once every sweep option is valid.
+
+    Raises ValueError naming the option that is not.
+    """
+    if not 0.0 < tol_rel < math.inf:
+        raise ValueError(f"tol_rel must be finite and positive, got {tol_rel}")
+    if angles_per_radius < 256:
+        raise ValueError("angles_per_radius must be at least 256")
     out = tuple(float(r) for r in radii)
     if not out:
         raise ValueError("radii must name at least one circle")
     for r in out:
         if not 1.0 - 1e-12 <= r <= Z_MODULUS_LIMIT:
-            raise ValueError(f"radius {r} outside the domain [1, {Z_MODULUS_LIMIT}]")
-    return (1.0,) if defn.domain == "unit_circle" else out
+            raise ValueError(f"radii: radius {r} outside the domain [1, {Z_MODULUS_LIMIT}]")
+    return out
 
 
 def _slack_at(inst: InequalityInstance, z) -> np.ndarray:
@@ -751,8 +760,7 @@ def check_inequality(
     into the report's ``extra``.
     """
     defn = inst.defn
-    if not 0.0 < tol_rel < math.inf:
-        raise ValueError(f"tol_rel must be finite and positive, got {tol_rel}")
+    radii = check_sweep_options(radii, angles_per_radius, tol_rel)
 
     if defn.domain == "parameter_only":
         lhs, rhs = defn.sides(inst, None)
@@ -775,9 +783,7 @@ def check_inequality(
             extra=NO_EXTRA,
         )
 
-    if angles_per_radius < 256:
-        raise ValueError("angles_per_radius must be at least 256")
-    radii_eff = _effective_radii(defn, radii)
+    radii_eff = (1.0,) if defn.domain == "unit_circle" else radii
 
     candidates = []  # (slack, radius, theta, z)
     samples = 0

@@ -23,6 +23,8 @@ __all__ = [
     "Polynomial",
     "make_poly",
     "evaluate",
+    "horner",
+    "circle_values",
     "modulus_bound",
     "derivative",
     "sth_derivative",
@@ -71,22 +73,47 @@ def make_poly(coeffs: Sequence[complex]) -> Polynomial:
     return Polynomial(tuple(cs))
 
 
+def horner(coeffs, z: np.ndarray) -> np.ndarray:
+    """Horner pass over the array ``z``; ``coeffs[j]`` multiplies ``z**j``.
+
+    This is the package's one array evaluation kernel.  Each coefficient is
+    a scalar or an array that broadcasts against ``z``, so one pass can
+    evaluate a different polynomial at each point.  Leading zero
+    coefficients leave the accumulator exactly zero at finite points.
+    """
+    acc = np.zeros(z.shape, dtype=complex)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def evaluate(p: Polynomial, z):
     """Horner evaluation of ``p`` at ``z`` (scalar complex or numpy array).
 
-    This is the package's one evaluation kernel: circle grids, root
-    iterations and the inequality sides all call it.
+    The inequality sides and the extremum levels call it; an array goes
+    through ``horner``.
     """
     if isinstance(z, np.ndarray):
-        acc = np.zeros(z.shape, dtype=complex)
-        for c in reversed(p.coeffs):
-            acc = acc * z + c
-        return acc
+        return horner(p.coeffs, z)
     zc = complex(z)
     acc = 0j
     for c in reversed(p.coeffs):
         acc = acc * zc + c
     return acc
+
+
+def circle_values(p: Polynomial, r: float, samples: int) -> np.ndarray:
+    """``P(r * e^{2 pi i k / samples})`` for k = 0..samples-1, from one FFT.
+
+    The values are ``samples * ifft(a_j * r**j, samples)``, each within a few
+    units of roundoff per FFT stage times ``sum |a_j| r**j`` of the exact
+    one.  Fewer samples than coefficients would make ifft truncate the
+    coefficients, so that is an error.
+    """
+    if samples < len(p.coeffs):
+        raise ValueError(f"{samples} samples cannot carry {len(p.coeffs)} coefficients")
+    b = np.asarray(p.coeffs, dtype=complex) * r ** np.arange(len(p.coeffs))
+    return np.fft.ifft(b, samples) * samples
 
 
 def modulus_bound(p: Polynomial, r: float) -> float:

@@ -3,7 +3,10 @@
 ``find_roots`` runs Aberth-Ehrlich simultaneous iteration on ``Q = P / z**j0``
 (the ``j0`` zeros at the origin are exact), started from Bini's Newton-polygon
 radii.  Past ``|z| = 1`` it evaluates the reversed polynomial at ``1/z``, so
-no value overflows for zeros a double can hold.  An iterate converges when
+no value overflows for zeros a double can hold.  Each step evaluates the
+polynomial, its derivative and its backward-error scale at every iterate in
+one ``poly.horner`` pass over a per-point coefficient table (Q inside the
+unit circle, the reversed polynomial outside).  An iterate converges when
 its backward error ``|Q(z)| / sum(|a_j| * |z|**j)`` is at most ``4 * m * eps``;
 NaN or an overflowed scale never converges.  Multiple roots are returned as
 clusters (no deflation); containment queries absorb finder error through
@@ -11,8 +14,8 @@ clusters (no deflation); containment queries absorb finder error through
 
 ``count_zeros_in_disk`` counts zeros by accumulating the phase of P along the
 circle (argument principle) and is fully independent of the iterative finder,
-so the two can cross-check each other.  Both evaluate P and P' with
-``poly.evaluate``.
+so the two can cross-check each other.  Its samples lie on a uniform grid, so
+it takes them from one FFT (``poly.circle_values``).
 
 For polynomials whose roots are known by construction (generators plant
 them), ``zero_location_evidence`` verifies the declared roots reproduce the
@@ -29,7 +32,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .poly import Polynomial, derivative, evaluate, modulus_bound, poly_from_roots
+from .poly import (
+    Polynomial,
+    circle_values,
+    derivative,
+    evaluate,
+    horner,
+    modulus_bound,
+    poly_from_roots,
+)
 
 __all__ = [
     "ROOT_TOL",
@@ -91,6 +102,35 @@ def _newton_polygon_start(coeffs) -> np.ndarray:
     return z
 
 
+def _horner_table(f: Polynomial) -> np.ndarray:
+    """Rows ``(f_j, f'_j, |f_j|)`` for j = 0..deg f; f' gets a leading zero."""
+    df = derivative(f).coeffs + (0j,)
+    return np.array([(c, d, abs(c)) for c, d in zip(f.coeffs, df)], dtype=complex)
+
+
+def _newton(tables, z: np.ndarray, n: int, j0: int):
+    """Q/Q' as (numerator, denominator), backward error and |P| at z.
+
+    ``tables`` holds the ``_horner_table`` of Q and of R(y) = y**m * Q(1/y).
+    Past |z| = 1 (and at NaN) R is evaluated at y = 1/z, where
+    Q/Q' = z*R / (m*R - y*R').  One Horner pass evaluates f and f' at x and
+    ``sum |f_j| |x|**j`` at |x|, f being Q or R per point.
+    """
+    near, far = tables
+    m = len(near) - 1
+    inside = np.abs(z) <= 1
+    x = np.where(inside, z, 1.0 / z)
+    coeffs = np.where(inside, near[:, :, None], far[:, :, None])
+    fx, dfx, scale = horner(coeffs, np.stack([x, x, np.abs(x)]))
+    scale = scale.real
+    num = np.where(inside, fx, fx / x)
+    den = np.where(inside, dfx, m * fx - x * dfx)
+    resid = np.abs(fx) * np.where(inside, np.abs(x) ** j0, np.abs(x) ** -n)
+    # An overflowed scale is no evidence: |P| / inf would read as converged.
+    berr = np.where(np.isfinite(scale), np.abs(fx) / scale, np.nan)
+    return num, den, berr, resid
+
+
 def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLocationReport:
     """All ``degree`` roots with multiplicity, by Aberth iteration."""
     n = p.degree
@@ -100,33 +140,14 @@ def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLoca
     j0 = next(j for j, c in enumerate(p.coeffs) if c != 0)
     q = Polynomial(p.coeffs[j0:])
     m = q.degree
-    rev = Polynomial(q.coeffs[::-1])  # R(y) = y**m * Q(1/y)
-    near = (q, derivative(q), Polynomial(tuple(abs(c) for c in q.coeffs)))
-    far = (rev, derivative(rev), Polynomial(tuple(abs(c) for c in rev.coeffs)))
-
-    def newton(z):
-        """Q/Q' as (numerator, denominator), backward error and |P| at z."""
-        # Past |z| = 1 (and at NaN): R at y = 1/z, where Q/Q' = z*R / (m*R - y*R').
-        inside = np.abs(z) <= 1
-        x = np.where(inside, z, 1.0 / z)
-        fx, dfx, scale = np.empty_like(z), np.empty_like(z), np.empty(z.shape)
-        for mask, (f, df, af) in ((inside, near), (~inside, far)):
-            if mask.any():
-                fx[mask], dfx[mask] = evaluate(f, x[mask]), evaluate(df, x[mask])
-                scale[mask] = evaluate(af, np.abs(x[mask])).real
-        num = np.where(inside, fx, fx / x)
-        den = np.where(inside, dfx, m * fx - x * dfx)
-        resid = np.abs(fx) * np.where(inside, np.abs(x) ** j0, np.abs(x) ** -n)
-        # An overflowed scale is no evidence: |P| / inf would read as converged.
-        berr = np.where(np.isfinite(scale), np.abs(fx) / scale, np.nan)
-        return num, den, berr, resid
-
     tol = 4 * m * np.finfo(float).eps
     # A hopeless input (overflowing coefficients) ends as RootConvergenceError
     # below, so numpy's overflow and invalid-value warnings on the way are noise.
     with np.errstate(all="ignore"):
+        # R(y) = y**m * Q(1/y) is the reversed Q.
+        tables = _horner_table(q), _horner_table(Polynomial(q.coeffs[::-1]))
         z = _newton_polygon_start(q.coeffs)
-        num, den, berr, resid = newton(z)
+        num, den, berr, resid = _newton(tables, z, n, j0)
         met = np.zeros(m, dtype=bool)
         for _ in range(max_iterations):
             # An iterate is frozen once it meets the test twice running: the
@@ -144,7 +165,9 @@ def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLoca
             if np.array_equal(z_next.view(float), z.view(float), equal_nan=True):
                 break
             z = z_next
-            num[active], den[active], berr[active], resid[active] = newton(z[active])
+            num[active], den[active], berr[active], resid[active] = _newton(
+                tables, z[active], n, j0
+            )
 
     if not np.all(berr <= tol):
         raise RootConvergenceError(
@@ -181,8 +204,7 @@ def count_zeros_in_disk(p: Polynomial, r: float) -> int:
     scale = modulus_bound(p, r)
     samples = 4096 * math.ceil(n / 8 + 1)
     while True:
-        theta = 2.0 * np.pi * np.arange(samples) / samples
-        w = evaluate(p, r * np.exp(1j * theta))
+        w = circle_values(p, r, samples)
         if np.abs(w).min() < 1e-9 * scale:
             raise ValueError("root near contour")
         steps = np.angle(np.roll(w, -1) / w)

@@ -1,10 +1,15 @@
 """End-to-end CLI tests: subcommands, exit codes, and artifact stability."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import polarineq
 from polarineq import poly_to_json
 from polarineq.cli import main
 from polarineq.poly import make_poly
@@ -80,6 +85,29 @@ def test_bad_sweep_input_is_one_error_line(flag, value, names, capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value, names",
+    [("--radii", "nan", "radii"), ("--tol", "nan", "tol_rel"), ("--angles", "100", "angles")],
+    ids=["radii", "tol", "angles"],
+)
+def test_bad_sweep_option_names_no_trial(flag, value, names, capsys):
+    # Checked once before the first trial: the error is the option's, and
+    # names no (id, seed, trial) replay key.
+    rc = main(["check", "--ineq", "E1", "--trials", "1", flag, value])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]
+    assert "trial" not in lines[0] and "seed" not in lines[0]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(polarineq.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "polarineq", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert "check" in done.stdout
 
 
 def test_sharpness_cli(capsys):

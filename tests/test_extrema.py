@@ -12,8 +12,15 @@ from polarineq import (
     poly_from_roots,
 )
 from polarineq import extrema
-from polarineq.extrema import _BLOCK, _abs_sq_fourier, _vector_eval_sq
-from polarineq.generators import GenConfig, random_zeros_poly_with_roots
+from polarineq.extrema import _BLOCK, _abs_sq_fourier, _vector_eval
+from polarineq.generators import GenConfig, random_zeros_poly_with_roots, rng_stream
+from polarineq.harness import regenerate_instance
+from polarineq.inequalities import check_inequality
+from polarineq.poly import scale, scale_argument
+
+# The zero layout of cell 69 (n = 48, zeros inside, k = 1) of the benchmark's
+# certify workload: SeedSequence(20130301, spawn_key=(69,)).generate_state(1)[0].
+CELL_69_LAYOUT_SEED = 2375365246
 
 
 @pytest.fixture
@@ -152,7 +159,7 @@ def test_blocked_grid_kernel_matches_one_shot_horner(length):
     acc = np.zeros(z.shape, dtype=complex)
     for c in coeffs[::-1]:
         acc = acc * z + c
-    assert np.array_equal(_vector_eval_sq(make_poly(coeffs), 1.3, theta), np.abs(acc) ** 2)
+    assert np.array_equal(_vector_eval(make_poly(coeffs), 1.3, theta), acc)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 12, 64])
@@ -206,3 +213,80 @@ def test_unattainable_tolerance_raises_before_evaluating(evaluations):
     with pytest.raises(ToleranceUnattainableError):
         circle_extremum(p, 1.0, "max", eps=1e-30)
     assert evaluations["points"] == 0 and evaluations["scalar"] == 0
+
+
+def cell_69(turn_seed=None):
+    """Cell 69's layout, turned as the certify workload turns op 69 of ``turn_seed``."""
+    layout, _ = random_zeros_poly_with_roots(
+        GenConfig(n=48, k=1.0, seed=CELL_69_LAYOUT_SEED, mode="zeros_inside")
+    )
+    if turn_seed is None:
+        return layout
+    turn, unit = np.exp(2j * np.pi * rng_stream(turn_seed, 69).random(2))
+    return scale(scale_argument(layout, complex(turn)), complex(unit))
+
+
+def assert_certified_min(p, e, points=2**16):
+    ref_min = dense_scan(p, 1.0, "min", points=points)
+    ref_max = dense_scan(p, 1.0, "max", points=points)
+    assert e.value - e.certified_error <= ref_min + 1e-12 * ref_max
+    assert e.value <= ref_min + e.certified_error + 1e-12 * ref_max
+
+
+@pytest.mark.parametrize("turn_seed", [1, 3])
+def test_cell_69_min_certifies(turn_seed):
+    # min |P| = 2.0e-5 against a global |P|**2 curvature bound of 1.4e6: with
+    # moduli alone some 3.8e5 brackets survived each level and the call
+    # raised ToleranceUnattainableError on these two turns.
+    p = cell_69(turn_seed)
+    e = circle_extremum(p, 1.0, "min")
+    assert e.certified_error <= 1e-9 * sum(abs(c) for c in p.coeffs)
+    assert_certified_min(p, e)
+
+
+def test_ce5_seed_1050_levels_stay_small(monkeypatch):
+    # Its min |P| on |z| = 0.8 took 18 levels, the largest 471,625 points
+    # against the 2**19 per-level cap.
+    sizes = []
+    real = extrema._vector_eval
+
+    def recorded(p, r, theta):
+        sizes.append(len(theta))
+        return real(p, r, theta)
+
+    monkeypatch.setattr(extrema, "_vector_eval", recorded)
+    assert check_inequality(regenerate_instance("CE5", 1050, 0)).passed
+    assert max(sizes) < 2**19 // 4
+
+
+def test_chord_bound_is_below_the_bracket_minimum():
+    # P(z) = z on |z| = 1: |P| = 1 on every bracket.
+    cert = extrema._Certifier(make_poly([0, 1]), 1.0)
+    width = 0.1
+    lo = np.exp(1j * np.array([0.0, 1.0]))
+    bound = cert.chord_bound(lo, lo * np.exp(1j * width), width)
+    assert np.all(bound <= 1.0) and np.all(bound > 1.0 - width**2)
+    nan = complex("nan")
+    degenerate = cert.chord_bound(np.array([1 + 0j, nan, 1 + 0j]),
+                                  np.array([1 + 0j, 1 + 0j, nan]), width)
+    assert np.isnan(degenerate).all()
+
+
+def test_nan_chord_bound_prunes_no_bracket(monkeypatch):
+    # This draw's min frontier passes the chord switch.  With every chord
+    # bound NaN the call must prune as it does with moduli alone.
+    p, _ = random_zeros_poly_with_roots(GenConfig(n=10, k=1.0, seed=24, mode="zeros_inside"))
+    levels = []
+
+    def nan_bound(self, v_lo, v_hi, width):
+        levels.append(len(v_lo))
+        return np.full(v_lo.shape, np.nan)
+
+    monkeypatch.setattr(extrema._Certifier, "chord_bound", nan_bound)
+    got = circle_extremum(p, 1.0, "min")
+    assert levels
+    monkeypatch.setattr(extrema, "_CHORD_FRONTIER", 2**62)
+    want = circle_extremum(p, 1.0, "min")
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert got.certified_error == pytest.approx(want.certified_error, rel=1e-6)
+    assert_certified_min(p, got)

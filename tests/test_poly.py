@@ -17,7 +17,7 @@ from polarineq import (
     scale_argument,
     sth_derivative,
 )
-from polarineq.poly import add, scale
+from polarineq.poly import add, circle_values, modulus_bound, scale
 
 
 def naive_eval(coeffs, z):
@@ -73,6 +73,20 @@ def test_eval_vectorized_matches_scalar():
     vec = evaluate(p, zs)
     for z, v in zip(zs, vec):
         assert abs(v - evaluate(p, complex(z))) < 1e-14
+
+
+@pytest.mark.parametrize("samples", [17, 64, 12288])
+def test_circle_values_match_horner_on_the_grid(samples):
+    rng = np.random.default_rng(samples)
+    p = make_poly(rng.standard_normal(17) + 1j * rng.standard_normal(17))
+    z = 1.3 * np.exp(2j * np.pi * np.arange(samples) / samples)
+    got = circle_values(p, 1.3, samples)
+    assert np.abs(got - evaluate(p, z)).max() <= 1e-13 * modulus_bound(p, 1.3)
+
+
+def test_circle_values_refuse_to_truncate():
+    with pytest.raises(ValueError, match="16 samples cannot carry 17"):
+        circle_values(make_poly(np.ones(17)), 1.0, 16)
 
 
 def test_sth_derivative_cube():

@@ -4,6 +4,8 @@ The planted-root generator is the oracle for the finder; the winding count
 and the finder cross-check each other.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,9 @@ from polarineq import (
     poly_from_roots,
     verify_winding,
 )
-from polarineq.generators import GenConfig, random_zeros_poly_with_roots
+from polarineq.generators import MODES, GenConfig, random_zeros_poly_with_roots
 from polarineq import roots as roots_module
-from polarineq.poly import modulus_bound
+from polarineq.poly import Polynomial, derivative, evaluate, modulus_bound
 from polarineq.roots import zero_location_evidence
 
 
@@ -90,20 +92,20 @@ def test_find_roots_non_finite_residual_is_nonconvergence():
 def test_find_roots_fixed_point_ends_the_iteration(monkeypatch):
     # On the same input the first step turns every iterate to NaN, and the
     # next one moves none: the verdict comes after two steps, not after the
-    # full 500-step budget (some 1500 evaluations).
+    # full 500-step budget (some 500 Horner passes).
     p = make_poly([1e308, 1e308, 1e308])
-    evaluated = []
-    real = roots_module.evaluate
+    passes = []
+    real = roots_module.horner
 
-    def counted(q, z):
-        evaluated.append(q)
-        return real(q, z)
+    def counted(coeffs, z):
+        passes.append(z.shape)
+        return real(coeffs, z)
 
-    monkeypatch.setattr(roots_module, "evaluate", counted)
+    monkeypatch.setattr(roots_module, "horner", counted)
     with pytest.raises(RootConvergenceError) as info:
         find_roots(p)
     assert str(info.value) == "root finder did not converge within 500 iterations"
-    assert len(evaluated) <= 9
+    assert 1 <= len(passes) <= 3
     assert len(info.value.roots) == 2
     assert all(np.isnan(r) for r in info.value.residuals)
 
@@ -229,3 +231,104 @@ def test_zero_location_evidence_rejects_wrong_roots():
         zero_location_evidence(p, [0.5, 0.3])
     with pytest.raises(ValueError, match="declared"):
         zero_location_evidence(p, [0.5])
+
+
+def _newton_reference(q, z, n, j0):
+    """The Aberth step's evaluations as six ``evaluate`` calls, Q inside and R outside."""
+    m = q.degree
+    rev = Polynomial(q.coeffs[::-1])
+    near = (q, derivative(q), Polynomial(tuple(abs(c) for c in q.coeffs)))
+    far = (rev, derivative(rev), Polynomial(tuple(abs(c) for c in rev.coeffs)))
+    inside = np.abs(z) <= 1
+    x = np.where(inside, z, 1.0 / z)
+    fx, dfx, scale = np.empty_like(z), np.empty_like(z), np.empty(z.shape)
+    for mask, (f, df, af) in ((inside, near), (~inside, far)):
+        if mask.any():
+            fx[mask], dfx[mask] = evaluate(f, x[mask]), evaluate(df, x[mask])
+            scale[mask] = evaluate(af, np.abs(x[mask])).real
+    num = np.where(inside, fx, fx / x)
+    den = np.where(inside, dfx, m * fx - x * dfx)
+    resid = np.abs(fx) * np.where(inside, np.abs(x) ** j0, np.abs(x) ** -n)
+    berr = np.where(np.isfinite(scale), np.abs(fx) / scale, np.nan)
+    return num, den, berr, resid
+
+
+def _newton_inputs():
+    rng = np.random.default_rng(17)
+    for n in (8, 16, 32, 48, 64):
+        for mode in MODES:
+            p, _ = random_zeros_poly_with_roots(GenConfig(n=n, k=0.8, seed=n, mode=mode))
+            yield pytest.param(p, 0, id=f"{mode}-{n}")
+    yield pytest.param(make_poly([0, 0, 0, -0.5, 1]), 3, id="origin-zeros")
+    yield pytest.param(make_poly([1e308, 1e308, 1e308]), 0, id="overflow")
+    yield pytest.param(make_poly(rng.standard_normal(13) + 1j * rng.standard_normal(13)), 0,
+                       id="gaussian-12")
+
+
+@pytest.mark.parametrize("p, j0", _newton_inputs())
+def test_one_pass_newton_step_matches_six_evaluations(p, j0):
+    q = Polynomial(p.coeffs[j0:])
+    tables = (roots_module._horner_table(q),
+              roots_module._horner_table(Polynomial(q.coeffs[::-1])))
+    rng = np.random.default_rng(q.degree)
+    moduli = np.concatenate([10.0 ** rng.uniform(-3, 3, 40), [1.0, 1.0 - 1e-16, 1.0 + 1e-15]])
+    z = np.concatenate([
+        roots_module._newton_polygon_start(q.coeffs),
+        moduli * np.exp(2j * np.pi * rng.random(len(moduli))),
+        [complex("nan"), complex("inf"), 1e300 + 0j, 1e-300j],
+    ])
+    with np.errstate(all="ignore"):
+        got = roots_module._newton(tables, z, p.degree, j0)
+        want = _newton_reference(q, z, p.degree, j0)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a.view(float), b.view(float), equal_nan=True)
+
+
+def _count_reference(p, r):
+    """``count_zeros_in_disk`` with its samples from Horner evaluation."""
+    scale = modulus_bound(p, r)
+    samples = 4096 * math.ceil(p.degree / 8 + 1)
+    while True:
+        theta = 2.0 * np.pi * np.arange(samples) / samples
+        w = evaluate(p, r * np.exp(1j * theta))
+        if np.abs(w).min() < 1e-9 * scale:
+            raise ValueError("root near contour")
+        steps = np.angle(np.roll(w, -1) / w)
+        if np.abs(steps).max() < np.pi / 2:
+            return int(round(float(steps.sum()) / (2.0 * np.pi)))
+        samples *= 2
+        if samples > 2**20:
+            raise ValueError("phase step too large")
+
+
+def _outcome(count, p, r):
+    try:
+        return count(p, r)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _count_inputs():
+    for n in (8, 16, 24, 32, 40, 48, 56, 64):
+        for mode in MODES:
+            p, _ = random_zeros_poly_with_roots(GenConfig(n=n, k=0.8, seed=n, mode=mode))
+            for r in (0.5, 0.9, 1.1):
+                yield p, r
+    on_circle = planted(5, 11) + [1j]
+    yield poly_from_roots(on_circle, 1), 1.0  # root near contour
+    # A zero 1e-4 outside the circle, half-way between two of the 12288
+    # first samples: the phase step between them is too large, and the grid
+    # is doubled.
+    close = planted(6, 8) + [(1.0 + 1e-4) * np.exp(1j * np.pi / 12288)]
+    yield poly_from_roots(close, 1), 1.0
+
+
+def test_fft_count_matches_horner_reference():
+    outcomes = []
+    for p, r in _count_inputs():
+        got = _outcome(count_zeros_in_disk, p, r)
+        assert got == _outcome(_count_reference, p, r), (p.degree, r)
+        outcomes.append(got)
+    assert outcomes[-2] == "root near contour" and outcomes[-1] == 8
