@@ -4,10 +4,11 @@ Every entry turns one inequality into an evaluable pair of nonnegative sides
 over ``(P, F, spec, z)``.  Hypotheses are verified before any check runs;
 instances that fail them are rejected, never scored.  ``check_inequality``
 is the one sweep routine: it evaluates z on circle grids and zooms in on the
-smallest slacks with batched side evaluations, and a finite grid plus the
-zoom stands in for the continuum claim: pointwise modulus comparisons are
-smooth in the angle, so the zoom bounds the grid error.  ``sharpness_probe``
-runs the same sweep on an equality family.
+smallest slacks with batched side evaluations until each bracket is flat to
+rounding or cannot overtake, and a finite grid plus the zoom stands in for
+the continuum claim: pointwise modulus comparisons are smooth in the angle,
+so the zoom bounds the grid error.  ``sharpness_probe`` runs the same sweep
+on an equality family.
 
 Slack is oriented so that a valid instance always has nonnegative slack:
 ``rhs - lhs`` for upper bounds, ``lhs - rhs`` for lower bounds (the sides
@@ -62,13 +63,17 @@ Z_MODULUS_LIMIT = 1e3
 # Sides are judged at tol_rel 1e-8, so circle extrema are asked for well
 # below that: within their tolerance the extremum's basin is not resolved.
 EXTREMUM_EPS_REL = 1e-10
-# The zoom of check_inequality (see its docstring): 14 levels that shrink 8x
-# narrow the grid spacing by 8**14 = 4.4e12, to about 3e-15 rad at 512
-# angles, the rounding level of an angle near 2*pi.
+# The zoom of check_inequality (see its docstring): at most 14 levels that
+# shrink 8x narrow the grid spacing by 8**14 = 4.4e12, to about 3e-15 rad at
+# 512 angles, the rounding level of an angle near 2*pi.  A smooth minimum is
+# flat to rounding once its bracket is narrower than about sqrt(eps), after
+# 6-7 levels; a bracket whose samples agree to ZOOM_FLAT (about 45 ulps) of
+# the sides' scale retires then.  A kink never reads flat and runs every level.
 ZOOM_BRACKETS = 5
 ZOOM_POINTS = 17
 ZOOM_SHRINK = 8.0
 ZOOM_LEVELS = 14
+ZOOM_FLAT = 1e-14
 # Shared by every report whose entry has no ``tally``.
 NO_EXTRA: Mapping = MappingProxyType({})
 
@@ -749,13 +754,17 @@ def check_inequality(
     """Sweep z over the def's domain and report the minimal oriented slack.
 
     Each radius gets a grid of ``angles_per_radius`` angles, one batched side
-    evaluation.  The ``ZOOM_BRACKETS`` smallest grid slacks then each start a
-    bracket of +- one grid spacing, and the zoom runs ``ZOOM_LEVELS`` levels:
-    each samples every bracket at ``ZOOM_POINTS`` angles in one batched side
-    evaluation, recentres each bracket on its best sample and shrinks it
-    ``ZOOM_SHRINK`` times.  The witness is the exact z at which the reported
-    slack was computed.  For unit-circle entries only the radius-1 slice is
-    swept; parameter-only entries evaluate once.  An entry with a registry
+    evaluation for all radii.  The ``ZOOM_BRACKETS`` smallest grid slacks
+    then each start a bracket of +- one grid spacing, and the zoom runs at
+    most ``ZOOM_LEVELS`` levels: each samples every live bracket at
+    ``ZOOM_POINTS`` angles in one batched side evaluation, recentres it on its
+    best sample and shrinks it ``ZOOM_SHRINK`` times.  A bracket retires once
+    its samples agree to ``ZOOM_FLAT`` times ``max(lhs, rhs)`` at the best
+    grid candidate (it has converged), or once its best sample less its
+    spread lies above the lowest slack sampled so far (it cannot overtake).
+    A NaN keeps a bracket live.  The witness is the exact z at which the
+    reported slack was computed.  For unit-circle entries only the radius-1
+    slice is swept; parameter-only entries evaluate once.  An entry with a registry
     ``tally`` has it applied to each radius's grid, and the counts are summed
     into the report's ``extra``.
     """
@@ -785,35 +794,43 @@ def check_inequality(
 
     radii_eff = (1.0,) if defn.domain == "unit_circle" else radii
 
+    theta = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
+    z = np.asarray(radii_eff)[:, None] * np.exp(1j * theta)
+    slack = _slack_at(inst, z.ravel()).reshape(z.shape)
+    samples = z.size
     candidates = []  # (slack, radius, theta, z)
-    samples = 0
     extra = {} if defn.tally else NO_EXTRA
-    for r in radii_eff:
-        theta = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
-        z = r * np.exp(1j * theta)
-        slack = _slack_at(inst, z)
-        samples += angles_per_radius
-        for i in np.argsort(slack)[:ZOOM_BRACKETS]:
-            candidates.append((slack[i], r, theta[i], z[i]))
+    for row, r in enumerate(radii_eff):
+        for i in np.argsort(slack[row])[:ZOOM_BRACKETS]:
+            candidates.append((slack[row, i], r, theta[i], z[row, i]))
         if defn.tally:
-            add_counts(extra, defn.tally(inst, z))
+            add_counts(extra, defn.tally(inst, z[row]))
 
     candidates.sort(key=lambda c: c[0])
     best, radius, centre, best_z = map(np.array, zip(*candidates[:ZOOM_BRACKETS]))
-    rows = np.arange(len(best))
+    flat = ZOOM_FLAT * np.max(evaluate_sides(inst, best_z[0]))
+    live = np.ones(len(best), dtype=bool)
     offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
     half = 2.0 * np.pi / angles_per_radius
     for _ in range(ZOOM_LEVELS):
-        theta = centre[:, None] + half * offsets
-        z = radius[:, None] * np.exp(1j * theta)
+        rows = np.flatnonzero(live)
+        theta = centre[rows, None] + half * offsets
+        z = radius[rows, None] * np.exp(1j * theta)
         slack = _slack_at(inst, z.ravel()).reshape(z.shape)
+        at = np.arange(len(rows))
         i = slack.argmin(axis=1)
-        centre = theta[rows, i]
-        better = slack[rows, i] < best
-        best = np.where(better, slack[rows, i], best)
-        best_z = np.where(better, z[rows, i], best_z)
+        low = slack[at, i]
+        centre[rows] = theta[at, i]
+        better = low < best[rows]
+        best[rows] = np.where(better, low, best[rows])
+        best_z[rows] = np.where(better, z[at, i], best_z[rows])
         half /= ZOOM_SHRINK
         samples += z.size
+        # Written so that a NaN keeps its bracket live.
+        spread = slack.max(axis=1) - low
+        live[rows] = ~(spread <= flat) & ~(low - spread > best.min())
+        if not live.any():
+            break
 
     j = int(best.argmin())
     best_slack, best_z = float(best[j]), complex(best_z[j])

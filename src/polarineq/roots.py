@@ -192,9 +192,11 @@ def count_zeros_in_disk(p: Polynomial, r: float) -> int:
     """Winding number of ``P(r*e^{i*theta})`` around the origin.
 
     Samples the circle densely, doubling the grid until every phase step is
-    below pi/2.  Errors out when a root sits close to the contour, i.e. some
-    sample has ``|P| < 1e-9 * modulus_bound(p, r)`` (the count would be
-    ill-defined), or when the doubling budget is exhausted.
+    below pi/2.  Errors out when ``sum |a_j| r**j`` overflows (P is not finite
+    on the contour), and with "root near contour" when some sample has
+    ``|P| < 1e-9 * modulus_bound(p, r)`` or when a phase step stays at pi/2 or
+    more up to 2**20 samples, which puts a zero within about
+    ``n * 2 pi r / 2**20`` of the circle: the count would be ill-defined.
     """
     n = p.degree
     if n < 1:
@@ -202,6 +204,8 @@ def count_zeros_in_disk(p: Polynomial, r: float) -> int:
     if not (r > 0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive, got {r}")
     scale = modulus_bound(p, r)
+    if not math.isfinite(scale):
+        raise ValueError(f"P is not finite on the contour |z| = {r}")
     samples = 4096 * math.ceil(n / 8 + 1)
     while True:
         w = circle_values(p, r, samples)
@@ -214,7 +218,7 @@ def count_zeros_in_disk(p: Polynomial, r: float) -> int:
             return int(winding)
         samples *= 2
         if samples > 2**20:
-            raise ValueError("phase step too large")
+            raise ValueError("root near contour")
 
 
 def verify_winding(p: Polynomial, report: ZeroLocationReport) -> ZeroLocationReport:

@@ -59,10 +59,10 @@ def test_report_bytes_pinned():
     # the old and new hashes in CHANGES.md and updates them here.
     rep = run_suite(list(INEQUALITY_IDS), 1, seed=42)
     assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == (
-        "7434b24e43c34ca020b9828f9ec4510a20a0852bb1a5d185f53e322872a43b92"
+        "29f2527bac143afe99d136adc460f34c8f103989693dea48f5c217ea2cb93ed4"
     )
     assert hashlib.sha256(report_to_csv(rep).encode()).hexdigest() == (
-        "4af5d45d33e8166191e7482dbe573af117e3e3c48977867c05e7add31dff4ce6"
+        "e45eb4912c5c4ca3e582660741f224658dc44f20a4ac48c3c79b96f21ca54a5f"
     )
 
 

@@ -35,8 +35,8 @@ from polarineq.generators import (
     extremal_poly_with_roots,
     random_zeros_poly_with_roots,
 )
-from polarineq.harness import regenerate_instance
-from polarineq.inequalities import _oriented_slack
+from polarineq.harness import regenerate_instance, replay_witness, run_suite
+from polarineq.inequalities import ZOOM_LEVELS, ZOOM_POINTS, _oriented_slack
 from polarineq.poly import scale
 
 
@@ -215,7 +215,9 @@ def test_check_rejects_non_finite_tolerance():
 
 
 def test_one_side_evaluation_per_grid_and_zoom_level():
-    # One batched call per radius, one per zoom level, one at the witness.
+    # One batched call for every radius's grid, a 1-point call for the zoom's
+    # flatness scale, at most ZOOM_LEVELS calls that sample whole brackets,
+    # and a 1-point call at the witness.
     for ineq_id in INEQUALITY_IDS:
         inst = regenerate_instance(ineq_id, 5, 0)
         if inst.defn.domain == "parameter_only":
@@ -229,8 +231,65 @@ def test_one_side_evaluation_per_grid_and_zoom_level():
 
         inst.defn = dataclasses.replace(inst.defn, sides=counted)
         rep = check_inequality(inst)
-        assert len(sizes) == len(rep.radii) + 14 + 1, ineq_id
-        assert rep.samples == sum(sizes[:-1]) and sizes[-1] == 1, ineq_id
+        grid, scale_call, *zoom, witness_call = sizes
+        assert grid == len(rep.radii) * 512, ineq_id
+        assert scale_call == witness_call == 1, ineq_id
+        assert 1 <= len(zoom) <= ZOOM_LEVELS, ineq_id
+        assert all(size % ZOOM_POINTS == 0 for size in zoom), ineq_id
+        assert rep.samples == grid + sum(zoom), ineq_id
+
+
+# A third of a spacing off the 512-angle grid, and off every zoom sample.
+_THETA0 = (100.0 + 1.0 / 3.0) * 2.0 * math.pi / 512
+
+
+def _synthetic_sweep(slack_of_angle, nan_at_one_point=False):
+    """``check_inequality`` of an E1 instance whose slack is replaced by
+    ``slack_of_angle(arg(z * e^{-i theta0}))``; returns the report and the
+    number of zoom levels that ran."""
+    inst = build_instance("E1", make_poly([1, 0, 0, 1]), PolarSpec(n=3, s=0, k=1.0))
+    sizes = []
+    turn = complex(math.cos(_THETA0), -math.sin(_THETA0))
+
+    def sides(inst_, z):
+        sizes.append(np.size(z))
+        rhs = slack_of_angle(np.angle(z * turn))
+        if nan_at_one_point and np.size(z) == 1:
+            rhs = np.full(np.shape(z), math.nan)
+        return np.zeros(np.shape(z)), rhs
+
+    inst.defn = dataclasses.replace(inst.defn, sides=sides)
+    rep = check_inequality(inst, angles_per_radius=512)
+    return rep, sum(size > 1 for size in sizes[1:])
+
+
+def test_zoom_runs_every_level_on_a_kink():
+    # A V-shaped slack never reads flat, so the cap is what ends the zoom.
+    rep, levels = _synthetic_sweep(lambda t: 1.0 + 100.0 * np.abs(t))
+    assert levels == ZOOM_LEVELS
+    assert rep.min_slack - 1.0 == pytest.approx(8.6e-14, rel=0.01)
+
+
+def test_zoom_stops_once_a_bowl_is_flat():
+    rep, levels = _synthetic_sweep(lambda t: 1.0 + 100.0 * t**2)
+    assert levels < ZOOM_LEVELS
+    assert 0.0 <= rep.min_slack - 1.0 <= 1e-14
+
+
+def test_nan_scale_does_not_end_the_zoom():
+    # NaN sides at the best grid candidate leave no flatness scale, so the
+    # bowl above runs to the cap.
+    _, levels = _synthetic_sweep(lambda t: 1.0 + 100.0 * t**2, nan_at_one_point=True)
+    assert levels == ZOOM_LEVELS
+
+
+def test_every_witness_replays_to_its_slack():
+    # A retired bracket keeps the (slack, z) pair it sampled, so each
+    # record's witness reproduces its min_slack.
+    rep = run_suite(list(INEQUALITY_IDS), 4, seed=42)
+    for r in rep.records:
+        slack = replay_witness(r.ineq_id, r.seed, r.trial, r.witness_z)
+        assert abs(slack - r.min_slack) <= 4 * np.finfo(float).eps * r.scale, r
 
 
 def test_zoom_finds_an_off_grid_maximum():
@@ -375,8 +434,8 @@ def test_te2_mutation_seam():
     "ineq_id", [i for i in INEQUALITY_IDS if REGISTRY[i].domain != "parameter_only"]
 )
 def test_sides_return_one_value_per_point(ineq_id):
-    # The zoom reshapes each level's slack array into one row per bracket, so
-    # every z-dependent side must be shaped like z.
+    # The sweep reshapes its slack arrays into one row per radius or per
+    # bracket, so every z-dependent side must be shaped like z.
     inst = regenerate_instance(ineq_id, 5, 0)
     z = np.exp(1j * np.linspace(0.1, 6.0, 5))
     lhs, rhs = inst.defn.sides(inst, z)
@@ -401,8 +460,6 @@ def test_sharpness_incompatible_family():
 
 def test_all_ids_hold_on_generated_instances():
     # light version of the acceptance sweep: a few trials per entry
-    from polarineq.harness import run_suite
-
     rep = run_suite(list(INEQUALITY_IDS), trials=3, seed=2024)
     assert rep.passed
     for entry in rep.results:

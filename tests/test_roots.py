@@ -82,6 +82,22 @@ def test_count_zeros_root_near_contour():
         count_zeros_in_disk(poly_from_roots([1.0], 1), 1.0)
 
 
+def test_count_zeros_non_finite_contour():
+    # sum |a_j| * 2**j overflows: an error at once, not after 2**20 samples.
+    with pytest.raises(ValueError, match="P is not finite on the contour"):
+        count_zeros_in_disk(make_poly([1e308] * 3), 2.0)
+
+
+@pytest.mark.parametrize("n", [8, 24, 48])
+def test_count_zeros_root_on_contour_between_samples(n):
+    # A zero on |z| = 1 between samples keeps a phase step of pi/2 or more
+    # up to 2**20 samples, so it is a root near the contour too.
+    on_circle = complex(math.cos(2.0), math.sin(2.0))
+    p = poly_from_roots(planted(n, n - 1) + [on_circle], 1)
+    with pytest.raises(ValueError, match="root near contour"):
+        count_zeros_in_disk(p, 1.0)
+
+
 def test_find_roots_non_finite_residual_is_nonconvergence():
     # Every coefficient is 1e308: P, P' and the scale sum(|a_j| * |z|**j)
     # overflow at every start point, and |P| / inf must not pass as converged.
@@ -289,6 +305,8 @@ def test_one_pass_newton_step_matches_six_evaluations(p, j0):
 def _count_reference(p, r):
     """``count_zeros_in_disk`` with its samples from Horner evaluation."""
     scale = modulus_bound(p, r)
+    if not math.isfinite(scale):
+        raise ValueError(f"P is not finite on the contour |z| = {r}")
     samples = 4096 * math.ceil(p.degree / 8 + 1)
     while True:
         theta = 2.0 * np.pi * np.arange(samples) / samples
@@ -300,7 +318,7 @@ def _count_reference(p, r):
             return int(round(float(steps.sum()) / (2.0 * np.pi)))
         samples *= 2
         if samples > 2**20:
-            raise ValueError("phase step too large")
+            raise ValueError("root near contour")
 
 
 def _outcome(count, p, r):
