@@ -9,11 +9,13 @@ probes), ``fuzz`` (boundary-parameter counterexample search), ``roots`` and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .extrema import circle_extremum
 from .harness import (
     UsageError,
+    _jsonable,
     _stable_dumps,
     emit_report,
     fuzz_search,
@@ -148,38 +150,24 @@ def _cmd_fuzz(args) -> int:
     if hit is None:
         print("no violation found", file=sys.stderr)
         return 0
-    payload = {k: ([v.real, v.imag] if isinstance(v, complex) else v) for k, v in hit.items()}
-    payload["alphas"] = [[a.real, a.imag] for a in hit["alphas"]]
-    sys.stdout.write(_stable_dumps(payload) + "\n")
+    sys.stdout.write(_stable_dumps(_jsonable(hit)) + "\n")
     return 2
+
+
+def _write_fields(report) -> None:
+    # Every field of a report dataclass, as one stable JSON line.
+    sys.stdout.write(_stable_dumps(_jsonable(dataclasses.asdict(report))) + "\n")
 
 
 def _cmd_roots(args) -> int:
     p = _read_poly(args.poly)
-    report = verify_winding(p, find_roots(p))
-    payload = {
-        "roots": [[r.real, r.imag] for r in report.roots],
-        "residuals": list(report.residuals),
-        "max_modulus": report.max_modulus,
-        "min_modulus": report.min_modulus,
-        "root_tol": report.root_tol,
-        "verified_by_winding": report.verified_by_winding,
-    }
-    sys.stdout.write(_stable_dumps(payload) + "\n")
+    _write_fields(verify_winding(p, find_roots(p)))
     return 0
 
 
 def _cmd_extrema(args) -> int:
     p = _read_poly(args.poly)
-    ext = circle_extremum(p, args.radius, args.kind, eps=args.eps)
-    payload = {
-        "kind": ext.kind,
-        "radius": ext.radius,
-        "value": ext.value,
-        "witness_theta": ext.witness_theta,
-        "certified_error": ext.certified_error,
-    }
-    sys.stdout.write(_stable_dumps(payload) + "\n")
+    _write_fields(circle_extremum(p, args.radius, args.kind, eps=args.eps))
     return 0
 
 

@@ -186,6 +186,7 @@ def circle_extremum(
     ``|true - value|``.  For ``kind="min"`` the value may be (numerically)
     zero when P vanishes on the circle; callers treating the minimum as a
     strict-positivity witness must require ``value > certified_error``.
+    Raises ValueError when ``sum |a_j| r**j`` overflows a float.
     """
     if p.is_zero:
         raise ValueError("extremum of the zero polynomial is undefined")
@@ -193,6 +194,8 @@ def circle_extremum(
         raise ValueError(f'kind must be "max" or "min", got {kind!r}')
     if not (r > 0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive, got {r}")
+    if not math.isfinite(modulus_bound(p, r)):
+        raise ValueError(f"P is not finite on the contour |z| = {r}")
     if eps is None:
         eps = 1e-9 * modulus_bound(p, max(1.0, r))
     if not eps > 0:
@@ -251,10 +254,8 @@ def circle_extremum(
         cuts = width / split * np.arange(split)
         theta = (left[:, None] + cuts[None, 1:]).ravel()
         values = _vector_eval(p, r, theta).reshape(len(left), split - 1)
-        if ends is None:
-            inner = np.sqrt(np.abs(values) ** 2)
-        else:
-            inner = np.abs(values)
+        inner = np.abs(values)
+        if ends is not None:
             cz = np.concatenate([ends[0][:, None], values, ends[1][:, None]], axis=1)
             ends = np.stack([cz[:, :-1].ravel(), cz[:, 1:].ravel()])
         best = int(inner.argmax() if maximize else inner.argmin())

@@ -33,6 +33,7 @@ from .inequalities import (
     INEQUALITY_IDS,
     REGISTRY,
     InequalityInstance,
+    _oriented_slack,
     add_counts,
     build_instance,
     check_inequality,
@@ -230,6 +231,20 @@ def _run_trial(
     )
 
 
+def _replay_key(rec: TrialRecord) -> dict:
+    """What ``replay_witness`` needs of a record, plus its parameters."""
+    return {
+        "seed": rec.seed,
+        "trial": rec.trial,
+        "n": rec.n,
+        "s": rec.s,
+        "k": rec.k,
+        "alphas": list(rec.alphas),
+        "beta": rec.beta,
+        "z": rec.witness_z,
+    }
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -267,16 +282,7 @@ def run_suite(
             "trials": len(recs),
             "passes": sum(r.passed for r in recs),
             "min_rel_slack": worst.rel_slack,
-            "witness": {
-                "seed": worst.seed,
-                "trial": worst.trial,
-                "n": worst.n,
-                "s": worst.s,
-                "k": worst.k,
-                "alphas": list(worst.alphas),
-                "beta": worst.beta,
-                "z": worst.witness_z,
-            },
+            "witness": _replay_key(worst),
         }
         for rec in recs:
             add_counts(entry, rec.extra)
@@ -321,14 +327,7 @@ def fuzz_search(
             if rec.rel_slack < FUZZ_THRESHOLD:
                 return {
                     "id": rec.ineq_id,
-                    "seed": rec.seed,
-                    "trial": rec.trial,
-                    "n": rec.n,
-                    "s": rec.s,
-                    "k": rec.k,
-                    "alphas": list(rec.alphas),
-                    "beta": rec.beta,
-                    "z": rec.witness_z,
+                    **_replay_key(rec),
                     "min_slack": rec.min_slack,
                     "rel_slack": rec.rel_slack,
                 }
@@ -344,8 +343,7 @@ def replay_witness(
     (its parameter sampler differs from the suite's).
     """
     inst = regenerate_instance(def_id, seed, trial, aggressive=aggressive)
-    lhs, rhs = evaluate_sides(inst, z)
-    return rhs - lhs if inst.defn.direction == "upper" else lhs - rhs
+    return _oriented_slack(inst.defn, *evaluate_sides(inst, z))
 
 
 # ---------------------------------------------------------------------------

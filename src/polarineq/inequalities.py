@@ -10,6 +10,15 @@ the continuum claim: pointwise modulus comparisons are smooth in the angle,
 so the zoom bounds the grid error.  ``sharpness_probe`` runs the same sweep
 on an equality family.
 
+The polar derivative gives back the ordinary one in the limit
+``D_alpha P / alpha -> P'`` as ``|alpha| -> inf``, so a spec with no polar
+points means that limit: ``chain_p`` is then ``P^(s)``, ``Lambda_s`` is 1
+and ``alpha_1...alpha_s`` is 1.  Each derivative-form entry is therefore its
+chain-form entry without polar points, and entries with the same side form
+share one evaluator: CE1, CE2, CE4 and CE5 (Max for an upper bound, Min for
+a lower one); TE1, CE_S1 and CE3; E2 and E4; E3 and E5; LE2 and LE4; TE3
+and CE11; CE7 and CE8.
+
 Slack is oriented so that a valid instance always has nonnegative slack:
 ``rhs - lhs`` for upper bounds, ``lhs - rhs`` for lower bounds (the sides
 keep the conventional display order of each inequality).  Pass tolerances
@@ -32,6 +41,7 @@ from .extrema import CircleExtremum, circle_extremum
 from .polar import PolarSpec, falling_factorial, lambda_product, polar_chain
 from .poly import (
     Polynomial,
+    circle_values,
     conjugate_reciprocal,
     evaluate,
     modulus_bound,
@@ -77,14 +87,18 @@ ZOOM_FLAT = 1e-14
 # Shared by every report whose entry has no ``tally``.
 NO_EXTRA: Mapping = MappingProxyType({})
 
-# Test seam: ids listed here get the leading term of their right side negated.
+# Test seam: ids listed here get the T1 term of ``_chain_brackets`` negated.
 # Used only to prove the checkers are not vacuous (mutation sensitivity).
 _RHS_SIGN_FLIPS: set[str] = set()
 
 
 @contextlib.contextmanager
 def rhs_sign_flip(ineq_id: str):
-    """Temporarily negate the dominant right-side term of ``ineq_id``."""
+    """Temporarily negate the T1 bracket of ``ineq_id``'s right side.
+
+    T1 is negated in ``_chain_brackets``, so the seam reaches the entries
+    whose right side is built from it: TE2, TE3, CE11 and LE5.
+    """
     _RHS_SIGN_FLIPS.add(ineq_id)
     try:
         yield
@@ -138,7 +152,10 @@ class InequalityInstance:
     """A hypothesis-checked (P, F, spec) triple with cached derived data.
 
     Max/Min circle terms are computed once per instance and cached; all
-    cached values are derived deterministically from (P, F, spec).
+    cached values are derived deterministically from (P, F, spec).  A spec
+    with no polar points means the derivative limit: ``chain_p`` and
+    ``chain_f`` are the s-th derivatives, ``lam`` is 1.0 and ``alpha_prod``
+    is ``1+0j``.
     """
 
     def __init__(self, defn: InequalityDef, p: Polynomial, f: Optional[Polynomial],
@@ -173,27 +190,19 @@ class InequalityInstance:
         # beta * Lambda_s / (1+k)^s, the shift inside the |...| brackets
         return self.spec.beta * self.lam / (1.0 + self.spec.k) ** self.spec.s
 
-    @cached_property
-    def cb_deriv(self) -> complex:
-        # beta / (1+k)^s, its limiting form once the polar points are gone
-        return self.spec.beta / (1.0 + self.spec.k) ** self.spec.s
-
     # -- derived polynomials ----------------------------------------------
+    def _chain(self, poly: Polynomial) -> Polynomial:
+        if not self.spec.alphas:
+            return sth_derivative(poly, self.spec.s)
+        return polar_chain(poly, self.spec)
+
     @cached_property
     def chain_p(self) -> Polynomial:
-        return polar_chain(self.p, self.spec)
+        return self._chain(self.p)
 
     @cached_property
     def chain_f(self) -> Polynomial:
-        return polar_chain(self.f, self.spec)
-
-    @cached_property
-    def deriv_s_p(self) -> Polynomial:
-        return sth_derivative(self.p, self.spec.s)
-
-    @cached_property
-    def deriv_s_f(self) -> Polynomial:
-        return sth_derivative(self.f, self.spec.s)
+        return self._chain(self.f)
 
     @cached_property
     def deriv1_p(self) -> Polynomial:
@@ -218,7 +227,7 @@ class InequalityInstance:
     def extremum(self, which: str, radius: float, kind: str) -> CircleExtremum:
         key = (which, radius, kind)
         if key not in self._extrema:
-            poly = {"p": self.p, "f": self.f, "dp": self.deriv1_p}[which]
+            poly = {"p": self.p, "dp": self.deriv1_p}[which]
             eps = EXTREMUM_EPS_REL * modulus_bound(poly, max(1.0, radius))
             self._extrema[key] = circle_extremum(poly, radius, kind, eps=eps)
         return self._extrema[key]
@@ -232,23 +241,10 @@ class InequalityInstance:
     def max_dp_unit(self) -> float:
         return self.extremum("dp", 1.0, "max").value
 
-    def min_f(self, radius: float) -> float:
-        return self.extremum("f", radius, "min").value
-
-    def params(self) -> dict:
-        return {
-            "n": self.spec.n,
-            "s": self.spec.s,
-            "k": self.spec.k,
-            "alphas": list(self.spec.alphas),
-            "beta": self.spec.beta,
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class InequalityReport:
     def_id: str
-    params: dict
     min_slack: float
     rel_slack: float
     witness_z: Optional[complex]
@@ -276,11 +272,6 @@ def _chain_combo(inst: InequalityInstance, poly, chain, z):
     return np.abs(z ** inst.spec.s * evaluate(chain, z) + lc * evaluate(poly, z))
 
 
-def _deriv_combo(inst: InequalityInstance, poly, derv, z):
-    lc = inst.spec.beta * inst.ns / (1.0 + inst.spec.k) ** inst.spec.s
-    return np.abs(z ** inst.spec.s * evaluate(derv, z) + lc * evaluate(poly, z))
-
-
 def _const(z, value: float):
     return np.full(np.shape(z), float(value))
 
@@ -290,16 +281,8 @@ def _sides_e1(inst, z):
     return _abs_eval(inst.deriv1_p, z), _const(z, rhs)
 
 
-def _sides_e2(inst, z):
-    rhs = inst.spec.n / 2.0 * inst.max_p(1.0)
-    return _abs_eval(inst.deriv1_p, z), _const(z, rhs)
-
-
-def _sides_e3(inst, z):
-    return inst.max_dp_unit(), inst.spec.n / 2.0 * inst.max_p(1.0)
-
-
 def _sides_e4(inst, z):
+    # E2 too: at k = 1, n / (1+k) is n / 2 exactly.
     rhs = inst.spec.n / (1.0 + inst.spec.k) * inst.max_p(1.0)
     return _abs_eval(inst.deriv1_p, z), _const(z, rhs)
 
@@ -331,36 +314,11 @@ def _sides_te1(inst, z):
 
 
 def _sides_ce1(inst, z):
+    # Max of |P| on |z| = k bounds an upper entry, Min a lower one.
+    extreme = inst.max_p if inst.defn.direction == "upper" else inst.min_p
     lhs = _chain_combo(inst, inst.p, inst.chain_p, z)
     amp = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n
-    rhs = inst.ns * amp * abs(inst.alpha_prod + inst.cb) * inst.max_p(inst.spec.k)
-    return lhs, rhs
-
-
-def _sides_ce2(inst, z):
-    lhs = _deriv_combo(inst, inst.p, inst.deriv_s_p, z)
-    amp = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n
-    rhs = inst.ns * amp * abs(1.0 + inst.cb_deriv) * inst.max_p(inst.spec.k)
-    return lhs, rhs
-
-
-def _sides_ce3(inst, z):
-    lhs = _deriv_combo(inst, inst.p, inst.deriv_s_p, z)
-    rhs = _deriv_combo(inst, inst.f, inst.deriv_s_f, z)
-    return lhs, rhs
-
-
-def _sides_ce4(inst, z):
-    lhs = _chain_combo(inst, inst.p, inst.chain_p, z)
-    amp = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n
-    rhs = inst.ns * amp * abs(inst.alpha_prod + inst.cb) * inst.min_p(inst.spec.k)
-    return lhs, rhs
-
-
-def _sides_ce5(inst, z):
-    lhs = _deriv_combo(inst, inst.p, inst.deriv_s_p, z)
-    amp = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n
-    rhs = inst.ns * amp * abs(1.0 + inst.cb_deriv) * inst.min_p(inst.spec.k)
+    rhs = inst.ns * amp * abs(inst.alpha_prod + inst.cb) * extreme(inst.spec.k)
     return lhs, rhs
 
 
@@ -369,6 +327,8 @@ def _chain_brackets(inst, z):
     t1 = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(
         inst.alpha_prod + inst.cb
     )
+    if inst.defn.ineq_id in _RHS_SIGN_FLIPS:
+        t1 = -t1
     t2 = np.abs(z ** inst.spec.s + inst.cb)
     return t1, t2
 
@@ -376,8 +336,6 @@ def _chain_brackets(inst, z):
 def _sides_te2(inst, z):
     lhs = _chain_combo(inst, inst.p, inst.chain_p, z)
     t1, t2 = _chain_brackets(inst, z)
-    if inst.defn.ineq_id in _RHS_SIGN_FLIPS:
-        t1 = -t1
     rhs = inst.ns / 2.0 * (t1 + t2) * inst.max_p(inst.spec.k)
     return lhs, rhs
 
@@ -385,8 +343,6 @@ def _sides_te2(inst, z):
 def _sides_te3(inst, z):
     lhs = _chain_combo(inst, inst.p, inst.chain_p, z)
     t1, t2 = _chain_brackets(inst, z)
-    if inst.defn.ineq_id in _RHS_SIGN_FLIPS:
-        t1 = -t1
     rhs = inst.ns / 2.0 * (
         (t1 + t2) * inst.max_p(inst.spec.k) - (t1 - t2) * inst.min_p(inst.spec.k)
     )
@@ -402,9 +358,11 @@ def _tally_min_term_signs(inst, z):
 
 
 def _sides_ce7(inst, z):
-    lhs = _deriv_combo(inst, inst.p, inst.deriv_s_p, z)
-    u1 = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(1.0 + inst.cb_deriv)
-    u2 = abs(inst.cb_deriv)
+    lhs = _chain_combo(inst, inst.p, inst.chain_p, z)
+    u1 = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(
+        inst.alpha_prod + inst.cb
+    )
+    u2 = abs(inst.cb)
     rhs = inst.ns / 2.0 * (
         (u1 + u2) * inst.max_p(inst.spec.k) - (u1 - u2) * inst.min_p(inst.spec.k)
     )
@@ -423,7 +381,7 @@ def _sides_ce9(inst, z):
 
 
 def _sides_ce10(inst, z):
-    lhs = _abs_eval(inst.deriv_s_p, z)
+    lhs = _abs_eval(inst.chain_p, z)
     amp = inst.ns * np.abs(z) ** (inst.spec.n - inst.spec.s) / (
         2.0 * inst.spec.k ** inst.spec.n
     )
@@ -472,11 +430,11 @@ _DEFS = [
     ),
     InequalityDef(
         "E2", "P != 0 in |z|<1: max |P'| <= (n/2) max |P| on |z|=1", "upper",
-        "unit_circle", _sides_e2, zero_mode="outside", k_regime="unit", uses_s=False,
+        "unit_circle", _sides_e4, zero_mode="outside", k_regime="unit", uses_s=False,
     ),
     InequalityDef(
         "E3", "all zeros in |z|<=1: max |P'| >= (n/2) max |P|", "lower",
-        "parameter_only", _sides_e3, zero_mode="inside", k_regime="unit",
+        "parameter_only", _sides_e5, zero_mode="inside", k_regime="unit",
         uses_s=False, witness_hint=_witness_dp_max,
     ),
     InequalityDef(
@@ -510,20 +468,20 @@ _DEFS = [
     ),
     InequalityDef(
         "CE2", "derivative combo vs (n_s |z|^n / k^n) |1+cb'| Max", "upper",
-        "outside_unit_disk", _sides_ce2, uses_beta=True,
+        "outside_unit_disk", _sides_ce1, uses_beta=True,
     ),
     InequalityDef(
         "CE3", "dominated-pair derivative comparison", "upper",
-        "outside_unit_disk", _sides_ce3, pair=True, uses_beta=True,
+        "outside_unit_disk", _sides_te1, pair=True, uses_beta=True,
     ),
     InequalityDef(
         "CE4", "chain combo of all-zeros-inside F >= (n_s |z|^n / k^n) |prod+cb| Min",
-        "lower", "outside_unit_disk", _sides_ce4, zero_mode="inside",
+        "lower", "outside_unit_disk", _sides_ce1, zero_mode="inside",
         needs_alphas=True, uses_beta=True,
     ),
     InequalityDef(
         "CE5", "derivative combo of all-zeros-inside F >= (n_s |z|^n / k^n) |1+cb'| Min",
-        "lower", "outside_unit_disk", _sides_ce5, zero_mode="inside", uses_beta=True,
+        "lower", "outside_unit_disk", _sides_ce1, zero_mode="inside", uses_beta=True,
     ),
     InequalityDef(
         "CE_S1", "single-step dominated-pair comparison (s = 1)", "upper",
@@ -679,10 +637,8 @@ def build_instance(
             )
 
     if defn.pair:
-        theta = 2.0 * np.pi * np.arange(DOMINATION_GRID) / DOMINATION_GRID
-        ring = k * np.exp(1j * theta)
-        p_abs = np.abs(evaluate(p, ring))
-        f_abs = np.abs(evaluate(f, ring))
+        p_abs = np.abs(circle_values(p, k, DOMINATION_GRID))
+        f_abs = np.abs(circle_values(f, k, DOMINATION_GRID))
         tol = 1e-9 * max(float(p_abs.max()), float(f_abs.max()))
         excess = float((p_abs - f_abs).max())
         report["domination_excess"] = excess
@@ -772,35 +728,40 @@ def check_inequality(
     radii = check_sweep_options(radii, angles_per_radius, tol_rel)
 
     if defn.domain == "parameter_only":
-        lhs, rhs = defn.sides(inst, None)
-        lhs, rhs = float(lhs), float(rhs)
+        lhs, rhs = evaluate_sides(inst, None)
         slack = _oriented_slack(defn, lhs, rhs)
-        scale = max(lhs, rhs)
         witness = defn.witness_hint(inst) if defn.witness_hint else None
-        return InequalityReport(
-            def_id=defn.ineq_id,
-            params=inst.params(),
-            min_slack=slack,
-            rel_slack=slack / scale if scale > 0 else 0.0,
-            witness_z=witness,
-            passed=slack >= -tol_rel * scale,
-            samples=1,
-            radii=(),
-            angles_per_radius=0,
-            tol_rel=tol_rel,
-            scale=scale,
-            extra=NO_EXTRA,
-        )
+        samples, radii, angles_per_radius, extra = 1, (), 0, NO_EXTRA
+    else:
+        radii = (1.0,) if defn.domain == "unit_circle" else radii
+        slack, witness, samples, extra = _sweep(inst, radii, angles_per_radius)
+        lhs, rhs = evaluate_sides(inst, witness)
+    scale = max(lhs, rhs)
+    return InequalityReport(
+        def_id=defn.ineq_id,
+        min_slack=slack,
+        rel_slack=slack / scale if scale > 0 else 0.0,
+        witness_z=witness,
+        passed=slack >= -tol_rel * scale,
+        samples=samples,
+        radii=radii,
+        angles_per_radius=angles_per_radius,
+        tol_rel=tol_rel,
+        scale=scale,
+        extra=extra,
+    )
 
-    radii_eff = (1.0,) if defn.domain == "unit_circle" else radii
 
+def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius: int):
+    """The grid and zoom of ``check_inequality``: (slack, witness, samples, extra)."""
+    defn = inst.defn
     theta = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
-    z = np.asarray(radii_eff)[:, None] * np.exp(1j * theta)
+    z = np.asarray(radii)[:, None] * np.exp(1j * theta)
     slack = _slack_at(inst, z.ravel()).reshape(z.shape)
     samples = z.size
     candidates = []  # (slack, radius, theta, z)
     extra = {} if defn.tally else NO_EXTRA
-    for row, r in enumerate(radii_eff):
+    for row, r in enumerate(radii):
         for i in np.argsort(slack[row])[:ZOOM_BRACKETS]:
             candidates.append((slack[row, i], r, theta[i], z[row, i]))
         if defn.tally:
@@ -833,23 +794,7 @@ def check_inequality(
             break
 
     j = int(best.argmin())
-    best_slack, best_z = float(best[j]), complex(best_z[j])
-    lhs_w, rhs_w = evaluate_sides(inst, best_z)
-    scale = max(lhs_w, rhs_w)
-    return InequalityReport(
-        def_id=defn.ineq_id,
-        params=inst.params(),
-        min_slack=best_slack,
-        rel_slack=best_slack / scale if scale > 0 else 0.0,
-        witness_z=best_z,
-        passed=best_slack >= -tol_rel * scale,
-        samples=samples,
-        radii=radii_eff,
-        angles_per_radius=angles_per_radius,
-        tol_rel=tol_rel,
-        scale=scale,
-        extra=extra,
-    )
+    return float(best[j]), complex(best_z[j]), samples, extra
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,11 @@ def circle_values(p: Polynomial, r: float, samples: int) -> np.ndarray:
 
 
 def modulus_bound(p: Polynomial, r: float) -> float:
-    """``sum(|a_j| * r**j)``, an upper bound for ``|P(z)|`` on ``|z| = r``."""
-    return float(sum(abs(c) * r ** j for j, c in enumerate(p.coeffs)))
+    """``sum(|a_j| * r**j)``, an upper bound for ``|P(z)|`` on ``|z| = r``; inf on overflow."""
+    try:
+        return float(sum(abs(c) * r ** j for j, c in enumerate(p.coeffs)))
+    except OverflowError:
+        return math.inf
 
 
 def derivative(p: Polynomial) -> Polynomial:
@@ -222,7 +225,8 @@ def poly_from_json(text: str) -> Polynomial:
         if not isinstance(item, list) or len(item) != 2:
             raise ValueError('each coefficient must be an [re, im] pair')
         re, im = item
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        # JSON true/false parse as bool, which is an int subclass.
+        if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in item):
             raise ValueError("coefficient entries must be numbers")
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError("non-finite coefficient rejected")

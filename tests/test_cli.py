@@ -192,6 +192,19 @@ def test_roots_overflow_prints_one_error_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("extra", [[], ["--eps", "1"]])
+def test_extrema_overflowing_radius_prints_one_error_line(extra, tmp_path, capsys):
+    # r**3 overflows a float at r = 1e200 (P = 1 + z**3).
+    path = tmp_path / "cubic.json"
+    path.write_text(poly_to_json(make_poly([1, 0, 0, 1])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["extrema", "--poly", str(path), "--radius", "1e200"] + extra)
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: P is not finite on the contour |z| = 1e+200\n"
+
+
 def test_threads_flag_is_gone(capsys):
     assert main(["check", "--ineq", "E1", "--trials", "1", "--threads", "2"]) == 1
     assert "error:" in capsys.readouterr().err

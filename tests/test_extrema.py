@@ -215,6 +215,16 @@ def test_unattainable_tolerance_raises_before_evaluating(evaluations):
     assert evaluations["points"] == 0 and evaluations["scalar"] == 0
 
 
+@pytest.mark.parametrize("eps", [None, 1.0])
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_overflowing_radius_is_a_typed_error(kind, eps, evaluations):
+    # r**3 overflows a float at r = 1e200: one ValueError before any
+    # evaluation, with no OverflowError and no numpy overflow warning.
+    with pytest.raises(ValueError, match="P is not finite on the contour"):
+        circle_extremum(make_poly([1, 0, 0, 1]), 1e200, kind, eps=eps)
+    assert evaluations["points"] == 0 and evaluations["scalar"] == 0
+
+
 def cell_69(turn_seed=None):
     """Cell 69's layout, turned as the certify workload turns op 69 of ``turn_seed``."""
     layout, _ = random_zeros_poly_with_roots(

@@ -36,8 +36,8 @@ from polarineq.generators import (
     random_zeros_poly_with_roots,
 )
 from polarineq.harness import regenerate_instance, replay_witness, run_suite
-from polarineq.inequalities import ZOOM_LEVELS, ZOOM_POINTS, _oriented_slack
-from polarineq.poly import scale
+from polarineq.inequalities import DEFAULT_RADII, ZOOM_LEVELS, ZOOM_POINTS, _oriented_slack
+from polarineq.poly import evaluate, scale, sth_derivative
 
 
 def test_registry_ids_exact():
@@ -464,3 +464,99 @@ def test_all_ids_hold_on_generated_instances():
     assert rep.passed
     for entry in rep.results:
         assert entry["passes"] == entry["trials"]
+
+
+# The evaluators of the derivative-form entries and of E2/E3 as they were
+# written before those entries shared the chain-form ones, with their own
+# combo, constant and s-th derivatives.  The shared evaluators must give the
+# same bits.
+def _ref_cb_deriv(inst):
+    return inst.spec.beta / (1.0 + inst.spec.k) ** inst.spec.s
+
+
+def _ref_deriv_combo(inst, poly, z):
+    derv = sth_derivative(poly, inst.spec.s)
+    lc = inst.spec.beta * inst.ns / (1.0 + inst.spec.k) ** inst.spec.s
+    return np.abs(z ** inst.spec.s * evaluate(derv, z) + lc * evaluate(poly, z))
+
+
+def _ref_e2(inst, z):
+    rhs = inst.spec.n / 2.0 * inst.max_p(1.0)
+    return np.abs(evaluate(inst.deriv1_p, z)), np.full(np.shape(z), float(rhs))
+
+
+def _ref_e3(inst, z):
+    return inst.max_dp_unit(), inst.spec.n / 2.0 * inst.max_p(1.0)
+
+
+def _ref_ce2_ce5(extreme):
+    def sides(inst, z):
+        lhs = _ref_deriv_combo(inst, inst.p, z)
+        amp = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n
+        bound = getattr(inst, extreme)(inst.spec.k)
+        return lhs, inst.ns * amp * abs(1.0 + _ref_cb_deriv(inst)) * bound
+    return sides
+
+
+def _ref_ce3(inst, z):
+    return _ref_deriv_combo(inst, inst.p, z), _ref_deriv_combo(inst, inst.f, z)
+
+
+def _ref_ce4(inst, z):
+    lc = inst.spec.beta * inst.ns * inst.lam / (1.0 + inst.spec.k) ** inst.spec.s
+    lhs = np.abs(z ** inst.spec.s * evaluate(inst.chain_p, z) + lc * evaluate(inst.p, z))
+    amp = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n
+    rhs = inst.ns * amp * abs(inst.alpha_prod + inst.cb) * inst.min_p(inst.spec.k)
+    return lhs, rhs
+
+
+def _ref_ce7(inst, z):
+    lhs = _ref_deriv_combo(inst, inst.p, z)
+    cb = _ref_cb_deriv(inst)
+    u1 = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(1.0 + cb)
+    u2 = abs(cb)
+    rhs = inst.ns / 2.0 * (
+        (u1 + u2) * inst.max_p(inst.spec.k) - (u1 - u2) * inst.min_p(inst.spec.k)
+    )
+    return lhs, rhs
+
+
+def _ref_ce10(inst, z):
+    lhs = np.abs(evaluate(sth_derivative(inst.p, inst.spec.s), z))
+    amp = inst.ns * np.abs(z) ** (inst.spec.n - inst.spec.s) / (
+        2.0 * inst.spec.k ** inst.spec.n
+    )
+    return lhs, amp * (inst.max_p(inst.spec.k) - inst.min_p(inst.spec.k))
+
+
+_REFERENCE_SIDES = {
+    "E2": _ref_e2,
+    "E3": _ref_e3,
+    "CE2": _ref_ce2_ce5("max_p"),
+    "CE3": _ref_ce3,
+    "CE4": _ref_ce4,
+    "CE5": _ref_ce2_ce5("min_p"),
+    "CE7": _ref_ce7,
+    "CE8": _ref_ce7,
+    "CE10": _ref_ce10,
+}
+
+
+@pytest.mark.parametrize("ineq_id", sorted(_REFERENCE_SIDES))
+def test_shared_evaluators_match_the_separate_ones(ineq_id):
+    theta = 2.0 * np.pi * np.arange(512) / 512
+    z = (np.asarray(DEFAULT_RADII)[:, None] * np.exp(1j * theta)).ravel()
+    for trial in range(4):
+        inst = regenerate_instance(ineq_id, 3, trial)
+        got = inst.defn.sides(inst, z)
+        want = _REFERENCE_SIDES[ineq_id](inst, z)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("ineq_id", [i for i in INEQUALITY_IDS if not REGISTRY[i].needs_alphas])
+def test_chain_without_polar_points_is_the_derivative(ineq_id):
+    # The polar derivative's limit D_a P / a -> P' as |a| -> inf.
+    inst = regenerate_instance(ineq_id, 3, 0)
+    assert inst.chain_p == sth_derivative(inst.p, inst.spec.s)
+    if inst.f is not None:
+        assert inst.chain_f == sth_derivative(inst.f, inst.spec.s)

@@ -218,3 +218,17 @@ def test_json_round_trip():
 def test_json_rejects_bad_input(text):
     with pytest.raises(ValueError):
         poly_from_json(text)
+
+
+def test_json_rejects_boolean_entries():
+    # JSON true/false parse as Python bools, which are ints.
+    with pytest.raises(ValueError, match="coefficient entries must be numbers"):
+        poly_from_json('{"coeffs": [[true, false], [1, 0]]}')
+    with pytest.raises(ValueError, match="coefficient entries must be numbers"):
+        poly_from_json('{"coeffs": [[1, 0], [2, true]]}')
+
+
+def test_modulus_bound_overflow_is_inf():
+    # 1e200**3 overflows a float: the bound is infinite, not an OverflowError.
+    assert modulus_bound(make_poly([1, 0, 0, 1]), 1e200) == np.inf
+    assert modulus_bound(make_poly([1, 0, 0, 1]), 2.0) == 9.0

@@ -88,6 +88,12 @@ def test_count_zeros_non_finite_contour():
         count_zeros_in_disk(make_poly([1e308] * 3), 2.0)
 
 
+def test_count_zeros_radius_power_overflow():
+    # r**3 itself overflows a float: the same typed error, not an OverflowError.
+    with pytest.raises(ValueError, match="P is not finite on the contour"):
+        count_zeros_in_disk(make_poly([1, 0, 0, 1]), 1e200)
+
+
 @pytest.mark.parametrize("n", [8, 24, 48])
 def test_count_zeros_root_on_contour_between_samples(n):
     # A zero on |z| = 1 between samples keeps a phase step of pi/2 or more
