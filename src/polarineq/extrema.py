@@ -2,11 +2,12 @@
 
 The square ``f(theta) = |P(r e^{i theta})|**2`` is a trigonometric polynomial
 whose Fourier coefficients follow directly from the polynomial coefficients,
-so coefficient-sum bounds ``Lf`` on |f'| and ``L2`` on |f''| are available
-without invoking any of the derivative inequalities this package exists to
-test.  An extremum of f inside a bracket of width d is either an end of the
-bracket or a stationary point, and a stationary point sits at most
-``q(d) = min(Lf*d/2, L2*(d/2)**2/2)`` above (below) the nearer end.
+so coefficient-sum bounds ``Lf`` on |f'|, ``L2`` on |f''| and ``L3`` on
+|f'''| are available without invoking any of the derivative inequalities
+this package exists to test.  An extremum of f inside a bracket of width d
+is either an end of the bracket or a stationary point, and a stationary
+point sits at most ``q(d) = min(Lf*d/2, L2*(d/2)**2/2)`` above (below) the
+nearer end.
 
 ``circle_extremum`` is a branch-and-bound over a frontier of brackets of
 angles (Piyavskii 1972; Shubert 1972):
@@ -14,12 +15,25 @@ angles (Piyavskii 1972; Shubert 1972):
 - The first level samples |P| on a uniform grid of ``8 * (degree + 1)``
   angles or more, rounded up to a power of two, with one FFT
   (``poly.circle_values``).  Every gap between neighbouring samples is a
-  bracket.
+  bracket.  The best sample is polished at once, by safeguarded Newton
+  steps on ``f'(theta) = 0`` with P, P' and P'' (each step clipped to the
+  grid spacing, and none taken once its predicted gain in f is below the
+  rounding of f).
 - A bracket's bound on |P| is its better end value plus the stationary
   slack ``q(width)``, widened by ``rho``: an explicit bound on the rounding
   error of one evaluation of P, by FFT or by Horner, of a few units of
   roundoff per degree times ``sum |a_j| r**j``.  A tolerance below ``4*rho``
   is declared unattainable before anything is evaluated.
+- Basin certificate (the second-order test of interval branch-and-bound,
+  Hansen & Walster 2004): the polish leaves f' and f'' at its witness, with
+  rounding bounds from ``sum j |a_j| r**j`` and ``sum j**2 |a_j| r**j``.  If
+  f'' less its error still has the sign of the extremum, by a margin c,
+  then f is (c/2)-strongly concave (convex) on the arc of half-width
+  ``c / (2*L3)`` about the witness, so on that arc |P| is capped (floored)
+  by the witness value and ``f'**2 / c``.  A bracket that lies wholly on
+  the arc takes the tighter of its own bound and that one, which prunes the
+  whole basin at the first level; most calls of the suite end there.  A
+  flat |P| such as ``|z**n|`` has no such arc.
 - Each level prunes the brackets whose bound cannot beat the incumbent by
   more than the tolerance, cuts every survivor into equal parts (up to 32,
   aiming at about 1024 new angles per level, never fewer than 2 parts) and
@@ -34,8 +48,8 @@ angles (Piyavskii 1972; Shubert 1972):
   holds for complex-valued functions).  Smaller frontiers, and every max
   call, keep the moduli alone.
 - When the frontier is empty, the worst pruned bound certifies the
-  incumbent.  Only that incumbent is polished, by safeguarded Newton steps
-  on ``f'(theta) = 0`` with P, P' and P''.
+  incumbent.  An incumbent that a level sample set, rather than the first
+  polish, is polished the same way.
 
 The value is then the extremum of its basin to rounding, but another local
 extremum within the tolerance of the global one may be the basin found:
@@ -44,7 +58,9 @@ callers that need the value tighter than that ask for a smaller ``eps``.
 One evaluated-point budget of ``2**22`` caps the work of a call, and a level
 may add at most an eighth of it, which keeps the frontier's arrays small; a
 call that would exceed either raises ``ToleranceUnattainableError``.  The
-default tolerance is ``1e-9 * modulus_bound(p, max(1, r))``.
+default tolerance is ``1e-9 * modulus_bound(p, max(1, r))``.  When
+``sum |a_j| r**j`` is finite but the bounds on f would overflow (P = 1 + z**3
+at r = 1e60), the call certifies ``P / sum |a_j| r**j`` and scales back.
 """
 
 from __future__ import annotations
@@ -54,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, circle_values, derivative, evaluate, modulus_bound
+from .poly import Polynomial, circle_values, derivative, evaluate, modulus_bound, scale
 
 __all__ = ["CircleExtremum", "ToleranceUnattainableError", "circle_extremum"]
 
@@ -108,11 +124,50 @@ class _Certifier:
         ls = np.arange(1, len(fourier))
         self.lip1 = float(2.0 * np.sum(ls * np.abs(fourier[1:])))
         self.lip2 = float(2.0 * np.sum(ls**2 * np.abs(fourier[1:])))
+        self.lip3 = float(2.0 * np.sum(ls**3 * np.abs(fourier[1:])))
         # Bound on |computed P - P| at any angle: Horner's error, the rounding
         # of r*exp(i*theta) (through |P'|) and the FFT's log2(grid) stages are
-        # each a few units of roundoff times sum |b_j|.
-        size = float(np.abs(self.b).sum())
-        self.rho = 8.0 * _MACHINE_EPS * (len(self.b) + math.log2(self.grid)) * size
+        # each a few units of roundoff times sum |b_j|.  The same holds for
+        # z P' and z**2 P'' with sum j |b_j| and sum j**2 |b_j|.
+        unit = 8.0 * _MACHINE_EPS * (len(self.b) + math.log2(self.grid))
+        absb = np.abs(self.b)
+        js = np.arange(len(self.b))
+        self.m2 = float(np.sum(js**2 * absb))  # bounds |d**2 P / d theta**2|
+        self.rho = unit * float(absb.sum())
+        self.rho1 = unit * float(np.sum(js * absb))
+        self.rho2 = unit * self.m2
+
+    def basin(self, theta: float, pz: complex, d1: complex, d2: complex, maximize: bool):
+        """``(starts, span, bound)`` for the basin of a polished witness, or None.
+
+        ``pz``, ``d1`` and ``d2`` are P, z P' and z**2 P'' at ``theta``, and
+        the f' and f'' computed from them are within ``e1`` and ``e2`` of the
+        true ones.  If ``c``, the computed -f'' (f'' for a min) less ``e2``,
+        is positive, then |f'''| <= ``lip3`` makes f (c/2)-strongly concave
+        (convex) on I = [theta - h, theta + h] with h = c / (2 lip3), so on I
+        f lies below (above) f(theta) + f'(theta)**2 / c.  ``bound`` is that
+        cap (floor) on |P|.  I is the arc of length ``span`` from
+        ``theta - h``; ``starts`` holds that start and its copies 2 pi away,
+        which reach every bracket on I since h <= pi/2 (f'' has mean zero, so
+        it changes sign within pi of theta, and at least 2h away).
+        """
+        grad, curv = _slope_and_curvature(pz, d1, d2)
+        a, m1, m12 = abs(pz), abs(d1), abs(d1 + d2)
+        rho, rho1, rho12 = self.rho, self.rho1, self.rho1 + self.rho2
+        e1 = 2.0 * (rho * m1 + (a + rho) * rho1) + 8.0 * _MACHINE_EPS * a * m1
+        e2 = (2.0 * rho1 * (2.0 * m1 + rho1) + 2.0 * (rho * (m12 + rho12) + a * rho12)
+              + 8.0 * _MACHINE_EPS * (m1 * m1 + a * m12))
+        c = (-curv if maximize else curv) - e2
+        if not (c > 0.0 and self.lip3 > 0.0):
+            return None
+        h = c / (2.0 * self.lip3)
+        drop = (abs(grad) + e1) ** 2 / c
+        if maximize:
+            bound = math.sqrt((a + rho) ** 2 + drop)
+        else:
+            bound = math.sqrt(max(0.0, max(a - rho, 0.0) ** 2 - drop))
+        starts = theta - h + 2.0 * math.pi * np.array([-1.0, 0.0, 1.0])
+        return starts, 2.0 * h, bound
 
     def stationary_slack(self, spacing: float) -> float:
         # How far above/below the nearest sample a stationary point of f can sit.
@@ -131,14 +186,13 @@ class _Certifier:
         ends are within ``rho`` of P.  A chord that is a point or whose
         length overflows gives NaN, which ``np.fmax`` passes over.
         """
-        m2 = float(np.sum(np.arange(len(self.b)) ** 2 * np.abs(self.b)))
         with np.errstate(all="ignore"):
             d = v_hi - v_lo
             dd = d.real**2 + d.imag**2
             t = np.divide(-(v_lo.real * d.real + v_lo.imag * d.imag), dd,
                           out=np.full(dd.shape, np.nan), where=np.isfinite(dd) & (dd > 0))
             dist = np.abs(v_lo + np.clip(t, 0.0, 1.0) * d)
-            return dist - self.rho - m2 * width**2 / 8.0
+            return dist - self.rho - self.m2 * width**2 / 8.0
 
 
 def _wrap(theta: float) -> float:
@@ -146,33 +200,43 @@ def _wrap(theta: float) -> float:
     return 0.0 if t >= 2.0 * math.pi else t
 
 
-def _polish(p: Polynomial, r: float, theta: float, maximize: bool, reach: float):
-    """Safeguarded Newton on f'(theta) = 0 from ``theta``: (witness, |P| there).
+def _slope_and_curvature(pz: complex, d1: complex, d2: complex) -> tuple[float, float]:
+    # f' and f'' from P, z P' and z**2 P'' at z = r e^{i theta}.
+    grad = -2.0 * (pz.conjugate() * d1).imag
+    curv = 2.0 * abs(d1) ** 2 - 2.0 * (pz.conjugate() * (d1 + d2)).real
+    return grad, curv
 
-    Steps are clipped to ``reach`` and taken only while f'' has the sign of
-    the extremum; a step is kept only if |P| improves.  The value is always
+
+def _polish(p: Polynomial, r: float, theta: float, maximize: bool, reach: float):
+    """Safeguarded Newton on f'(theta) = 0 from ``theta``.
+
+    Returns the witness, |P| there, and P, z P' and z**2 P'' there.  Steps
+    are clipped to ``reach`` and taken only while f'' has the sign of the
+    extremum; a step is kept only if |P| improves.  The value is always
     that of the returned witness.
     """
     dp = derivative(p)
     d2p = derivative(dp)
-    best_t = best_v = None
+    best = None
     t = _wrap(theta)
     for _ in range(_POLISH_STEPS):
         z = r * complex(math.cos(t), math.sin(t))
         pz = evaluate(p, z)
         v = abs(pz)
-        if best_v is not None and not (v > best_v if maximize else v < best_v):
+        if best is not None and not (v > best[1] if maximize else v < best[1]):
             break
-        best_t, best_v = t, v
-        # f' and f'' from P, z P' and z**2 P'' at z = r e^{i t}.
         d1 = z * evaluate(dp, z)
         d2 = z * z * evaluate(d2p, z)
-        grad = -2.0 * (pz.conjugate() * d1).imag
-        curv = 2.0 * abs(d1) ** 2 - 2.0 * (pz.conjugate() * (d1 + d2)).real
-        if not (curv < 0.0 if maximize else curv > 0.0):
+        best = (t, v, pz, d1, d2)
+        grad, curv = _slope_and_curvature(pz, d1, d2)
+        # A Newton step gains about grad**2 / (2 |curv|) in f; below f's
+        # rounding it could improve |P| by rounding noise alone.
+        if not (curv < 0.0 if maximize else curv > 0.0) or (
+            grad * grad <= 2.0 * abs(curv) * _MACHINE_EPS * v * v
+        ):
             break
         t = _wrap(t - max(-reach, min(reach, grad / curv)))
-    return best_t, best_v
+    return best
 
 
 def circle_extremum(
@@ -194,12 +258,25 @@ def circle_extremum(
         raise ValueError(f'kind must be "max" or "min", got {kind!r}')
     if not (r > 0 and math.isfinite(r)):
         raise ValueError(f"radius must be positive, got {r}")
-    if not math.isfinite(modulus_bound(p, r)):
+    size = modulus_bound(p, r)
+    if not math.isfinite(size):
         raise ValueError(f"P is not finite on the contour |z| = {r}")
     if eps is None:
         eps = 1e-9 * modulus_bound(p, max(1.0, r))
     if not eps > 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
+    lip3_bound = 2.0 * len(p.coeffs) ** 3 * size * size  # at least _Certifier.lip3
+    if not math.isfinite(lip3_bound * lip3_bound):
+        # |P|**2, the bounds on its derivatives or the square of f' would
+        # overflow: certify P / size, whose squares are at most about 1, and
+        # scale back.
+        unit = circle_extremum(scale(p, 1.0 / size), r, kind, eps / size)
+        t = unit.witness_theta
+        value = abs(evaluate(p, r * complex(math.cos(t), math.sin(t))))
+        err = size * unit.certified_error + abs(value - size * unit.value)
+        if not err <= eps:
+            raise ToleranceUnattainableError(f"certified error {err:.3g} exceeds {eps:.3g}")
+        return CircleExtremum(kind, float(r), float(value), float(t), float(err))
 
     maximize = kind == "max"
     cert = _Certifier(p, r)
@@ -216,22 +293,36 @@ def circle_extremum(
     m_lo, m_hi = mods, np.roll(mods, -1)
     ends = None  # complex P at each bracket's ends, once the chord bound is on
     best = int(mods.argmax() if maximize else mods.argmin())
-    inc_t, inc_v = float(left[best]), float(mods[best])
+    inc_t, inc_v, *at_witness = _polish(p, r, float(left[best]), maximize, width)
+    basin = cert.basin(inc_t, *at_witness, maximize)
+    moved = False  # whether a level sample has beaten the polished grid best
     pruned = -math.inf if maximize else math.inf
     used = cert.grid
     while True:
         # A bound on |P| over each bracket: its better end modulus, within rho
         # of |P|, and the stationary slack of |P|**2 for its width (an
-        # overflowed inf - inf gives no lower bound).
+        # overflowed inf - inf gives no lower bound).  A bracket inside the
+        # basin also takes the basin's bound when that is tighter.
         slack = cert.stationary_slack(width)
         if maximize:
             bound = np.sqrt(np.maximum(m_lo, m_hi) ** 2 + slack) + rho
-            keep = bound > inc_v + eps - 2.0 * rho
         else:
             low = np.maximum(np.minimum(m_lo, m_hi) - rho, 0.0) ** 2 - slack
             bound = np.sqrt(np.fmax(low, 0.0))
             if ends is not None:
                 bound = np.fmax(bound, cert.chord_bound(*ends, width))
+        if basin is not None:
+            # ``left`` is sorted, so the brackets wholly on the arc, or on
+            # its copies 2 pi away, are contiguous runs.
+            starts, span, cap = basin
+            firsts = left.searchsorted(starts, "left")
+            stops = left.searchsorted(starts + (span - width), "right")
+            for i, j in zip(firsts.tolist(), stops.tolist()):
+                if i < j:
+                    bound[i:j] = (np.fmin if maximize else np.fmax)(bound[i:j], cap)
+        if maximize:
+            keep = bound > inc_v + eps - 2.0 * rho
+        else:
             keep = bound < inc_v - eps + 2.0 * rho
         out = bound[~keep]
         if len(out):
@@ -261,13 +352,15 @@ def circle_extremum(
         best = int(inner.argmax() if maximize else inner.argmin())
         if inner.flat[best] > inc_v if maximize else inner.flat[best] < inc_v:
             inc_t, inc_v = float(theta[best]), float(inner.flat[best])
+            moved = True
         row = np.concatenate([m_lo[:, None], inner, m_hi[:, None]], axis=1)
         left = (left[:, None] + cuts[None, :]).ravel()
         m_lo, m_hi = row[:, :-1].ravel(), row[:, 1:].ravel()
         width /= split
 
-    witness, value = _polish(p, r, inc_t, maximize, width)
-    err = max(pruned - value if maximize else value - pruned, rho)
+    if moved:
+        inc_t, inc_v, *_ = _polish(p, r, inc_t, maximize, width)
+    err = max(pruned - inc_v if maximize else inc_v - pruned, rho)
     if not err <= eps:
         raise ToleranceUnattainableError(f"certified error {err:.3g} exceeds {eps:.3g}")
-    return CircleExtremum(kind, float(r), float(value), float(witness), float(err))
+    return CircleExtremum(kind, float(r), float(inc_v), float(inc_t), float(err))

@@ -19,6 +19,13 @@ share one evaluator: CE1, CE2, CE4 and CE5 (Max for an upper bound, Min for
 a lower one); TE1, CE_S1 and CE3; E2 and E4; E3 and E5; LE2 and LE4; TE3
 and CE11; CE7 and CE8.
 
+The chain combo ``|z^s chain + beta n_s Lambda_s / (1+k)^s poly|`` that
+TE1, CE1-CE5, CE_S1, TE2, TE3, CE7, CE8, CE11 and LE5 read is one cached
+polynomial per (poly, chain) pair, with coefficients ``chain_{j-s} + lc a_j``
+(``combo_p``, ``combo_f``, ``combo_q_rescaled``), so each value costs one
+Horner pass; Horner's error bound (Higham 2002, sec. 5.1) on it is no
+larger than that of the two passes it replaces.
+
 Slack is oriented so that a valid instance always has nonnegative slack:
 ``rhs - lhs`` for upper bounds, ``lhs - rhs`` for lower bounds (the sides
 keep the conventional display order of each inequality).  Pass tolerances
@@ -41,9 +48,11 @@ from .extrema import CircleExtremum, circle_extremum
 from .polar import PolarSpec, falling_factorial, lambda_product, polar_chain
 from .poly import (
     Polynomial,
+    add,
     circle_values,
     conjugate_reciprocal,
     evaluate,
+    make_poly,
     modulus_bound,
     scale as poly_scale,
     scale_argument,
@@ -223,6 +232,24 @@ class InequalityInstance:
     def chain_q_rescaled(self) -> Polynomial:
         return polar_chain(self.q_rescaled, self.spec)
 
+    def _combo(self, poly: Polynomial, chain: Polynomial) -> Polynomial:
+        # z^s * chain + beta * n_s * Lambda_s / (1+k)^s * poly, whose
+        # coefficients are chain_{j-s} + lc * a_j: one Horner pass per value.
+        lc = self.spec.beta * self.ns * self.lam / (1.0 + self.spec.k) ** self.spec.s
+        return add(make_poly([0j] * self.spec.s + list(chain.coeffs)), poly_scale(poly, lc))
+
+    @cached_property
+    def combo_p(self) -> Polynomial:
+        return self._combo(self.p, self.chain_p)
+
+    @cached_property
+    def combo_f(self) -> Polynomial:
+        return self._combo(self.f, self.chain_f)
+
+    @cached_property
+    def combo_q_rescaled(self) -> Polynomial:
+        return self._combo(self.q_rescaled, self.chain_q_rescaled)
+
     # -- cached circle extrema ---------------------------------------------
     def extremum(self, which: str, radius: float, kind: str) -> CircleExtremum:
         key = (which, radius, kind)
@@ -266,12 +293,6 @@ def _abs_eval(poly: Polynomial, z):
     return np.abs(evaluate(poly, z))
 
 
-def _chain_combo(inst: InequalityInstance, poly, chain, z):
-    # |z^s * chain(z) + beta * n_s * Lambda_s / (1+k)^s * poly(z)|
-    lc = inst.spec.beta * inst.ns * inst.lam / (1.0 + inst.spec.k) ** inst.spec.s
-    return np.abs(z ** inst.spec.s * evaluate(chain, z) + lc * evaluate(poly, z))
-
-
 def _const(z, value: float):
     return np.full(np.shape(z), float(value))
 
@@ -308,15 +329,15 @@ def _sides_awe(inst, z):
 
 
 def _sides_te1(inst, z):
-    lhs = _chain_combo(inst, inst.p, inst.chain_p, z)
-    rhs = _chain_combo(inst, inst.f, inst.chain_f, z)
+    lhs = _abs_eval(inst.combo_p, z)
+    rhs = _abs_eval(inst.combo_f, z)
     return lhs, rhs
 
 
 def _sides_ce1(inst, z):
     # Max of |P| on |z| = k bounds an upper entry, Min a lower one.
     extreme = inst.max_p if inst.defn.direction == "upper" else inst.min_p
-    lhs = _chain_combo(inst, inst.p, inst.chain_p, z)
+    lhs = _abs_eval(inst.combo_p, z)
     amp = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n
     rhs = inst.ns * amp * abs(inst.alpha_prod + inst.cb) * extreme(inst.spec.k)
     return lhs, rhs
@@ -334,14 +355,14 @@ def _chain_brackets(inst, z):
 
 
 def _sides_te2(inst, z):
-    lhs = _chain_combo(inst, inst.p, inst.chain_p, z)
+    lhs = _abs_eval(inst.combo_p, z)
     t1, t2 = _chain_brackets(inst, z)
     rhs = inst.ns / 2.0 * (t1 + t2) * inst.max_p(inst.spec.k)
     return lhs, rhs
 
 
 def _sides_te3(inst, z):
-    lhs = _chain_combo(inst, inst.p, inst.chain_p, z)
+    lhs = _abs_eval(inst.combo_p, z)
     t1, t2 = _chain_brackets(inst, z)
     rhs = inst.ns / 2.0 * (
         (t1 + t2) * inst.max_p(inst.spec.k) - (t1 - t2) * inst.min_p(inst.spec.k)
@@ -358,7 +379,7 @@ def _tally_min_term_signs(inst, z):
 
 
 def _sides_ce7(inst, z):
-    lhs = _chain_combo(inst, inst.p, inst.chain_p, z)
+    lhs = _abs_eval(inst.combo_p, z)
     u1 = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(
         inst.alpha_prod + inst.cb
     )
@@ -407,8 +428,8 @@ def _sides_le5(inst, z):
     # in z (the chain is linear, so this is what the dominated-pair argument
     # actually bounds); chaining Q first and substituting z/k^2 afterwards is
     # a different quantity for k < 1 and fails at random instances.
-    first = _chain_combo(inst, inst.p, inst.chain_p, z)
-    second = _chain_combo(inst, inst.q_rescaled, inst.chain_q_rescaled, z)
+    first = _abs_eval(inst.combo_p, z)
+    second = _abs_eval(inst.combo_q_rescaled, z)
     t1, t2 = _chain_brackets(inst, z)
     rhs = inst.ns * (t1 + t2) * inst.max_p(inst.spec.k)
     return first + second, rhs
@@ -696,9 +717,9 @@ def check_sweep_options(radii, angles_per_radius: int, tol_rel: float) -> tuple[
     return out
 
 
-def _slack_at(inst: InequalityInstance, z) -> np.ndarray:
+def _sides_at(inst: InequalityInstance, z) -> tuple[np.ndarray, np.ndarray]:
     lhs, rhs = inst.defn.sides(inst, z)
-    return _oriented_slack(inst.defn, np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+    return np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
 
 
 def check_inequality(
@@ -757,19 +778,21 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
     defn = inst.defn
     theta = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
     z = np.asarray(radii)[:, None] * np.exp(1j * theta)
-    slack = _slack_at(inst, z.ravel()).reshape(z.shape)
+    lhs, rhs = (side.reshape(z.shape) for side in _sides_at(inst, z.ravel()))
+    slack = _oriented_slack(defn, lhs, rhs)
+    scale = np.maximum(lhs, rhs)
     samples = z.size
-    candidates = []  # (slack, radius, theta, z)
+    candidates = []  # (slack, radius, theta, z, max(lhs, rhs))
     extra = {} if defn.tally else NO_EXTRA
     for row, r in enumerate(radii):
         for i in np.argsort(slack[row])[:ZOOM_BRACKETS]:
-            candidates.append((slack[row, i], r, theta[i], z[row, i]))
+            candidates.append((slack[row, i], r, theta[i], z[row, i], scale[row, i]))
         if defn.tally:
             add_counts(extra, defn.tally(inst, z[row]))
 
     candidates.sort(key=lambda c: c[0])
-    best, radius, centre, best_z = map(np.array, zip(*candidates[:ZOOM_BRACKETS]))
-    flat = ZOOM_FLAT * np.max(evaluate_sides(inst, best_z[0]))
+    best, radius, centre, best_z, scale = map(np.array, zip(*candidates[:ZOOM_BRACKETS]))
+    flat = ZOOM_FLAT * scale[0]
     live = np.ones(len(best), dtype=bool)
     offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
     half = 2.0 * np.pi / angles_per_radius
@@ -777,7 +800,7 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
         rows = np.flatnonzero(live)
         theta = centre[rows, None] + half * offsets
         z = radius[rows, None] * np.exp(1j * theta)
-        slack = _slack_at(inst, z.ravel()).reshape(z.shape)
+        slack = _oriented_slack(defn, *_sides_at(inst, z.ravel())).reshape(z.shape)
         at = np.arange(len(rows))
         i = slack.argmin(axis=1)
         low = slack[at, i]

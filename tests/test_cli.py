@@ -205,6 +205,20 @@ def test_extrema_overflowing_radius_prints_one_error_line(extra, tmp_path, capsy
     assert capsys.readouterr().err == "error: P is not finite on the contour |z| = 1e+200\n"
 
 
+def test_extrema_large_radius_prints_the_max(tmp_path, capsys):
+    # |1 + z**3| is about 1e180 on |z| = 1e60: finite, though its square is not.
+    path = tmp_path / "cubic.json"
+    path.write_text(poly_to_json(make_poly([1, 0, 0, 1])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["extrema", "--poly", str(path), "--radius", "1e60"])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    data = json.loads(capsys.readouterr().out)
+    assert data["value"] == pytest.approx(1e180, rel=1e-15)
+    assert data["certified_error"] <= 1e-9 * 1e180
+
+
 def test_threads_flag_is_gone(capsys):
     assert main(["check", "--ineq", "E1", "--trials", "1", "--threads", "2"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -199,12 +199,27 @@ def test_low_degree_call_makes_few_scalar_evaluations(evaluations):
 
 @pytest.mark.parametrize("coeffs", [[0] * 12 + [1], [1e-12] + [0] * 11 + [1]])
 @pytest.mark.parametrize("kind", ["max", "min"])
-def test_flat_modulus_keeps_the_frontier_small(coeffs, kind, evaluations):
+def test_flat_modulus_keeps_the_frontier_small(coeffs, kind, evaluations, monkeypatch):
     # |P| is constant, or within 1e-12 of it: every bracket ties the
-    # incumbent, and only the tolerance lets them be pruned.
+    # incumbent, and only the tolerance lets them be pruned.  |z^12| has
+    # f'' = 0 everywhere, so there is no basin and the call runs the plain
+    # search; |z^12 + 1e-12| has |f''| = 2.9e-10 at its extrema, above the
+    # rounding bound on the computed f'' (about 4e-11), and its basin's cap
+    # (floor) must hold.
+    basins = []
+    real = extrema._Certifier.basin
+    monkeypatch.setattr(extrema._Certifier, "basin",
+                        lambda self, *args: basins.append(real(self, *args)) or basins[-1])
     e = circle_extremum(make_poly(coeffs), 1.0, kind)
     assert e.value == pytest.approx(1.0, abs=2e-12)
     assert evaluations["points"] <= 1024
+    want = 1.0 + (coeffs[0] if kind == "max" else -coeffs[0])
+    assert abs(e.value - want) <= e.certified_error
+    (basin,) = basins
+    if coeffs[0] == 0:
+        assert basin is None
+    else:
+        assert basin[2] >= want if kind == "max" else basin[2] <= want
 
 
 def test_unattainable_tolerance_raises_before_evaluating(evaluations):
@@ -300,3 +315,92 @@ def test_nan_chord_bound_prunes_no_bracket(monkeypatch):
     assert got.value == pytest.approx(want.value, rel=1e-12)
     assert got.certified_error == pytest.approx(want.certified_error, rel=1e-6)
     assert_certified_min(p, got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64])
+def test_basin_certificate_agrees_with_dense_scan(n):
+    # The true extremum lies within certified_error of the value, and within
+    # the scan's slope bound times half its spacing of the best scan sample.
+    rng = np.random.default_rng(100 + n)
+    p = make_poly(rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
+    points = 2**16
+    theta = 2.0 * np.pi * np.arange(points) / points
+    for r in (0.3, 0.8, 1.0, 1.5):
+        vals = np.abs(evaluate(p, r * np.exp(1j * theta)))
+        weights = np.abs(np.asarray(p.coeffs)) * r ** np.arange(n + 1)
+        tiny = 1e-12 * weights.sum()
+        gap = float((np.arange(n + 1) * weights).sum()) * np.pi / points + tiny
+        mx = circle_extremum(p, r, "max")
+        assert vals.max() - tiny <= mx.value + mx.certified_error
+        assert mx.value <= vals.max() + gap
+        mn = circle_extremum(p, r, "min")
+        assert mn.value - mn.certified_error <= vals.min() + tiny
+        assert mn.value >= vals.min() - gap
+
+
+def test_near_tie_in_another_basin_is_still_searched(monkeypatch):
+    # |z^3 + 0.5 + d z e^{-2 pi i/3}| peaks near 0 and 2 pi / 3, the second
+    # higher by about 1.5 d.  The 64-angle grid hits the first peak and
+    # samples the second a third of a spacing off it, so the grid's best
+    # sample lies in the lower basin, whose certificate must not end the call.
+    d, eps = 1e-7, 1e-6
+    p = make_poly([0.5, d * np.exp(-2j * np.pi / 3), 0, 1])
+    levels = []
+    real = extrema._vector_eval
+
+    def recorded(p_, r, theta):
+        levels.append(len(theta))
+        return real(p_, r, theta)
+
+    monkeypatch.setattr(extrema, "_vector_eval", recorded)
+    e = circle_extremum(p, 1.0, "max", eps=eps)
+    assert levels
+    peak = dense_scan(p, 1.0, "max", points=2**18)
+    assert peak - 1e-12 <= e.value + e.certified_error
+    assert e.value >= peak - eps
+    assert e.certified_error <= eps
+
+
+def test_zero_on_the_circle_gives_min_zero():
+    # P(z) = (z - e^{0.3i})(z + 2) vanishes at theta = 0.3, off the grid.
+    p = poly_from_roots([np.exp(0.3j), -2.0], 1.0)
+    e = circle_extremum(p, 1.0, "min")
+    assert e.value <= e.certified_error
+    assert abs(e.witness_theta - 0.3) < 1e-6
+
+
+def test_most_low_degree_calls_end_at_the_grid(monkeypatch):
+    # Polynomials drawn as the suite draws them (n <= 12, each zero mode),
+    # on |z| = k, the circle of the suite's Max and Min terms.  The basin
+    # certificate prunes every bracket of the FFT grid in at least half of
+    # the calls, so they evaluate no branch-and-bound level.  (Gaussian
+    # coefficients end fewer calls there: about 60 of 200.)
+    levels = []
+    real = extrema._vector_eval
+    monkeypatch.setattr(extrema, "_vector_eval",
+                        lambda p, r, theta: levels.append(1) or real(p, r, theta))
+    modes = ("zeros_inside", "zeros_outside_open_disk", "unconstrained")
+    rng = np.random.default_rng(77)
+    at_grid = 0
+    for i in range(100):
+        n = int(rng.integers(1, 13))
+        k = float(rng.choice([0.3, 0.5, 0.8, 1.0]))
+        p, _ = random_zeros_poly_with_roots(GenConfig(n=n, k=k, seed=i, mode=modes[i % 3]))
+        for kind in ("max", "min"):
+            levels.clear()
+            circle_extremum(p, k, kind)
+            at_grid += not levels
+    assert at_grid >= 100
+
+
+@pytest.mark.parametrize("r", [1e60, 1e100])
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_large_radius_squares_do_not_overflow(r, kind):
+    # |1 + z^3| is r^3 +- 1 on |z| = r, about 1e180 or 1e300: finite, though
+    # its square is not.  No overflow warning, and the value is certified.
+    p = make_poly([1, 0, 0, 1])
+    e = circle_extremum(p, r, kind)
+    assert e.value == pytest.approx(r**3, rel=1e-15)
+    assert e.certified_error <= 1e-9 * r**3
+    t = e.witness_theta
+    assert e.value == abs(evaluate(p, r * complex(np.cos(t), np.sin(t))))

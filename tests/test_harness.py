@@ -59,10 +59,10 @@ def test_report_bytes_pinned():
     # the old and new hashes in CHANGES.md and updates them here.
     rep = run_suite(list(INEQUALITY_IDS), 1, seed=42)
     assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == (
-        "29f2527bac143afe99d136adc460f34c8f103989693dea48f5c217ea2cb93ed4"
+        "f6b8226c85b9c89097db8e1e01b421d5b305a5b8b137375abc61a9c8ad7ff3cb"
     )
     assert hashlib.sha256(report_to_csv(rep).encode()).hexdigest() == (
-        "e45eb4912c5c4ca3e582660741f224658dc44f20a4ac48c3c79b96f21ca54a5f"
+        "e2dfe4660a77b5f1a328f87ea3d11e02675b1124b911cdb4721ffaf3992c643d"
     )
 
 

@@ -37,7 +37,8 @@ from polarineq.generators import (
 )
 from polarineq.harness import regenerate_instance, replay_witness, run_suite
 from polarineq.inequalities import DEFAULT_RADII, ZOOM_LEVELS, ZOOM_POINTS, _oriented_slack
-from polarineq.poly import evaluate, scale, sth_derivative
+from polarineq import poly as poly_module
+from polarineq.poly import evaluate, horner, modulus_bound, scale, sth_derivative
 
 
 def test_registry_ids_exact():
@@ -215,8 +216,8 @@ def test_check_rejects_non_finite_tolerance():
 
 
 def test_one_side_evaluation_per_grid_and_zoom_level():
-    # One batched call for every radius's grid, a 1-point call for the zoom's
-    # flatness scale, at most ZOOM_LEVELS calls that sample whole brackets,
+    # One batched call for every radius's grid (which also gives the zoom's
+    # flatness scale), at most ZOOM_LEVELS calls that sample whole brackets,
     # and a 1-point call at the witness.
     for ineq_id in INEQUALITY_IDS:
         inst = regenerate_instance(ineq_id, 5, 0)
@@ -231,9 +232,9 @@ def test_one_side_evaluation_per_grid_and_zoom_level():
 
         inst.defn = dataclasses.replace(inst.defn, sides=counted)
         rep = check_inequality(inst)
-        grid, scale_call, *zoom, witness_call = sizes
+        grid, *zoom, witness_call = sizes
         assert grid == len(rep.radii) * 512, ineq_id
-        assert scale_call == witness_call == 1, ineq_id
+        assert witness_call == 1, ineq_id
         assert 1 <= len(zoom) <= ZOOM_LEVELS, ineq_id
         assert all(size % ZOOM_POINTS == 0 for size in zoom), ineq_id
         assert rep.samples == grid + sum(zoom), ineq_id
@@ -243,10 +244,11 @@ def test_one_side_evaluation_per_grid_and_zoom_level():
 _THETA0 = (100.0 + 1.0 / 3.0) * 2.0 * math.pi / 512
 
 
-def _synthetic_sweep(slack_of_angle, nan_at_one_point=False):
+def _synthetic_sweep(slack_of_angle, nan_in=None):
     """``check_inequality`` of an E1 instance whose slack is replaced by
     ``slack_of_angle(arg(z * e^{-i theta0}))``; returns the report and the
-    number of zoom levels that ran."""
+    number of zoom levels that ran.  ``nan_in`` ("grid" or "zoom") names the
+    side evaluations whose right side is NaN."""
     inst = build_instance("E1", make_poly([1, 0, 0, 1]), PolarSpec(n=3, s=0, k=1.0))
     sizes = []
     turn = complex(math.cos(_THETA0), -math.sin(_THETA0))
@@ -254,7 +256,8 @@ def _synthetic_sweep(slack_of_angle, nan_at_one_point=False):
     def sides(inst_, z):
         sizes.append(np.size(z))
         rhs = slack_of_angle(np.angle(z * turn))
-        if nan_at_one_point and np.size(z) == 1:
+        stage = "grid" if len(sizes) == 1 else "zoom" if np.size(z) > 1 else "witness"
+        if stage == nan_in:
             rhs = np.full(np.shape(z), math.nan)
         return np.zeros(np.shape(z)), rhs
 
@@ -277,10 +280,18 @@ def test_zoom_stops_once_a_bowl_is_flat():
 
 
 def test_nan_scale_does_not_end_the_zoom():
-    # NaN sides at the best grid candidate leave no flatness scale, so the
-    # bowl above runs to the cap.
-    _, levels = _synthetic_sweep(lambda t: 1.0 + 100.0 * t**2, nan_at_one_point=True)
+    # NaN sides on the grid leave no flatness scale, so the bowl above keeps
+    # its brackets live and runs to the cap.
+    _, levels = _synthetic_sweep(lambda t: 1.0 + 100.0 * t**2, nan_in="grid")
     assert levels == ZOOM_LEVELS
+
+
+def test_nan_zoom_samples_keep_brackets_live():
+    # NaN samples have no spread, so no bracket reads flat; the grid's best
+    # slack stands.
+    rep, levels = _synthetic_sweep(lambda t: 1.0 + 100.0 * t**2, nan_in="zoom")
+    assert levels == ZOOM_LEVELS
+    assert rep.min_slack == pytest.approx(1.0 + 100.0 * (2.0 * math.pi / 512 / 3) ** 2)
 
 
 def test_every_witness_replays_to_its_slack():
@@ -468,16 +479,23 @@ def test_all_ids_hold_on_generated_instances():
 
 # The evaluators of the derivative-form entries and of E2/E3 as they were
 # written before those entries shared the chain-form ones, with their own
-# combo, constant and s-th derivatives.  The shared evaluators must give the
-# same bits.
+# combo, constant and s-th derivatives (each combo as the one polynomial
+# z^s * chain + lc * poly).  The shared evaluators must give the same bits.
 def _ref_cb_deriv(inst):
     return inst.spec.beta / (1.0 + inst.spec.k) ** inst.spec.s
+
+
+def _merged_combo(chain, poly, lc, s, z):
+    # |z^s * chain(z) + lc * poly(z)| from the coefficients chain_{j-s} + lc * a_j.
+    shifted = [0j] * s + list(chain.coeffs)
+    shifted += [0j] * (len(poly.coeffs) - len(shifted))
+    return np.abs(horner([c + lc * a for c, a in zip(shifted, poly.coeffs)], z))
 
 
 def _ref_deriv_combo(inst, poly, z):
     derv = sth_derivative(poly, inst.spec.s)
     lc = inst.spec.beta * inst.ns / (1.0 + inst.spec.k) ** inst.spec.s
-    return np.abs(z ** inst.spec.s * evaluate(derv, z) + lc * evaluate(poly, z))
+    return _merged_combo(derv, poly, lc, inst.spec.s, z)
 
 
 def _ref_e2(inst, z):
@@ -504,7 +522,7 @@ def _ref_ce3(inst, z):
 
 def _ref_ce4(inst, z):
     lc = inst.spec.beta * inst.ns * inst.lam / (1.0 + inst.spec.k) ** inst.spec.s
-    lhs = np.abs(z ** inst.spec.s * evaluate(inst.chain_p, z) + lc * evaluate(inst.p, z))
+    lhs = _merged_combo(inst.chain_p, inst.p, lc, inst.spec.s, z)
     amp = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n
     rhs = inst.ns * amp * abs(inst.alpha_prod + inst.cb) * inst.min_p(inst.spec.k)
     return lhs, rhs
@@ -560,3 +578,64 @@ def test_chain_without_polar_points_is_the_derivative(ineq_id):
     assert inst.chain_p == sth_derivative(inst.p, inst.spec.s)
     if inst.f is not None:
         assert inst.chain_f == sth_derivative(inst.f, inst.spec.s)
+
+
+# The entries whose sides read the chain combo |z^s * chain + lc * poly|, and
+# the (poly, chain, combo) attributes each reads.
+_COMBO_READS = {
+    "TE1": ("p", "f"), "CE1": ("p",), "CE2": ("p",), "CE3": ("p", "f"),
+    "CE4": ("p",), "CE5": ("p",), "CE_S1": ("p", "f"), "TE2": ("p",),
+    "TE3": ("p",), "CE7": ("p",), "CE8": ("p",), "CE11": ("p",),
+    "LE5": ("p", "q_rescaled"),
+}
+
+
+def _combo_parts(inst, which):
+    return (getattr(inst, which), getattr(inst, f"chain_{which}"),
+            getattr(inst, f"combo_{which}"))
+
+
+@pytest.mark.parametrize("ineq_id", sorted(_COMBO_READS))
+def test_combo_coefficients_are_shifted_chain_plus_scaled_poly(ineq_id):
+    for trial in range(3):
+        inst = regenerate_instance(ineq_id, 7, trial)
+        s = inst.spec.s
+        lc = inst.spec.beta * inst.ns * inst.lam / (1.0 + inst.spec.k) ** s
+        for which in _COMBO_READS[ineq_id]:
+            poly, chain, combo = _combo_parts(inst, which)
+            want = [(chain.coeffs[j - s] if 0 <= j - s < len(chain.coeffs) else 0j)
+                    + lc * a for j, a in enumerate(poly.coeffs)]
+            assert list(combo.coeffs) == want, (ineq_id, which)
+
+
+@pytest.mark.parametrize("ineq_id", sorted(_COMBO_READS))
+def test_combo_values_are_within_horner_bound_of_two_passes(ineq_id):
+    # Horner's error bound (Higham 2002, sec. 5.1): each evaluation is within
+    # a few units of roundoff per degree times sum |c_j| |z|^j of exact.
+    eps = np.finfo(float).eps
+    theta = 2.0 * np.pi * np.arange(512) / 512
+    for trial in range(3):
+        inst = regenerate_instance(ineq_id, 7, trial)
+        s = inst.spec.s
+        lc = inst.spec.beta * inst.ns * inst.lam / (1.0 + inst.spec.k) ** s
+        for which in _COMBO_READS[ineq_id]:
+            poly, chain, combo = _combo_parts(inst, which)
+            for r in DEFAULT_RADII:
+                z = r * np.exp(1j * theta)
+                two_pass = z**s * evaluate(chain, z) + lc * evaluate(poly, z)
+                size = (modulus_bound(combo, r) + r**s * modulus_bound(chain, r)
+                        + abs(lc) * modulus_bound(poly, r))
+                gap = np.abs(evaluate(combo, z) - two_pass).max()
+                assert gap <= 8.0 * (len(poly.coeffs) + s) * eps * size, (ineq_id, which, r)
+
+
+@pytest.mark.parametrize("ineq_id", sorted(_COMBO_READS))
+def test_one_horner_pass_per_combo(ineq_id, monkeypatch):
+    inst = regenerate_instance(ineq_id, 7, 0)
+    z = np.exp(1j * np.linspace(0.1, 6.0, 5))
+    inst.defn.sides(inst, z)  # fills the cached polynomials and extrema
+    passes = []
+    real = poly_module.horner
+    monkeypatch.setattr(poly_module, "horner", lambda c, z: passes.append(1) or real(c, z))
+    inst.defn.sides(inst, z)
+    assert len(passes) == len(_COMBO_READS[ineq_id])
