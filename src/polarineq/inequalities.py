@@ -38,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -93,6 +93,7 @@ ZOOM_POINTS = 17
 ZOOM_SHRINK = 8.0
 ZOOM_LEVELS = 14
 ZOOM_FLAT = 1e-14
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, ZOOM_POINTS)
 # Shared by every report whose entry has no ``tally``.
 NO_EXTRA: Mapping = MappingProxyType({})
 
@@ -773,32 +774,42 @@ def check_inequality(
     )
 
 
+@lru_cache(maxsize=4)
+def _grid(angles_per_radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep grid's angles and ``e^{i theta}``, read-only and shared."""
+    theta = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
+    unit = np.exp(1j * theta)
+    theta.flags.writeable = unit.flags.writeable = False
+    return theta, unit
+
+
 def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius: int):
     """The grid and zoom of ``check_inequality``: (slack, witness, samples, extra)."""
     defn = inst.defn
-    theta = 2.0 * np.pi * np.arange(angles_per_radius) / angles_per_radius
-    z = np.asarray(radii)[:, None] * np.exp(1j * theta)
+    theta, unit = _grid(angles_per_radius)
+    z = np.asarray(radii)[:, None] * unit
     lhs, rhs = (side.reshape(z.shape) for side in _sides_at(inst, z.ravel()))
     slack = _oriented_slack(defn, lhs, rhs)
-    scale = np.maximum(lhs, rhs)
     samples = z.size
-    candidates = []  # (slack, radius, theta, z, max(lhs, rhs))
     extra = {} if defn.tally else NO_EXTRA
-    for row, r in enumerate(radii):
-        for i in np.argsort(slack[row])[:ZOOM_BRACKETS]:
-            candidates.append((slack[row, i], r, theta[i], z[row, i], scale[row, i]))
-        if defn.tally:
-            add_counts(extra, defn.tally(inst, z[row]))
+    if defn.tally:
+        for row in z:
+            add_counts(extra, defn.tally(inst, row))
 
-    candidates.sort(key=lambda c: c[0])
-    best, radius, centre, best_z, scale = map(np.array, zip(*candidates[:ZOOM_BRACKETS]))
-    flat = ZOOM_FLAT * scale[0]
+    # The ZOOM_BRACKETS smallest slacks of each radius, then the smallest of
+    # those; the stable sort keeps ties in radius order.
+    top = np.argsort(slack, axis=1)[:, :ZOOM_BRACKETS]
+    pick = np.argsort(np.take_along_axis(slack, top, axis=1).ravel(), kind="stable")
+    row = pick[:ZOOM_BRACKETS] // top.shape[1]
+    col = top.ravel()[pick[:ZOOM_BRACKETS]]
+    best, best_z, centre = slack[row, col], z[row, col], theta[col]
+    radius = np.asarray(radii)[row]
+    flat = ZOOM_FLAT * np.maximum(lhs[row[0], col[0]], rhs[row[0], col[0]])
     live = np.ones(len(best), dtype=bool)
-    offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
     half = 2.0 * np.pi / angles_per_radius
     for _ in range(ZOOM_LEVELS):
         rows = np.flatnonzero(live)
-        theta = centre[rows, None] + half * offsets
+        theta = centre[rows, None] + half * _ZOOM_OFFSETS
         z = radius[rows, None] * np.exp(1j * theta)
         slack = _oriented_slack(defn, *_sides_at(inst, z.ravel())).reshape(z.shape)
         at = np.arange(len(rows))
