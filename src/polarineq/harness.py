@@ -262,6 +262,8 @@ def run_suite(
     ids = _validate_ids(ineq_ids)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     try:
         radii = check_sweep_options(radii, angles_per_radius, tol_rel)
     except ValueError as exc:
@@ -321,6 +323,8 @@ def fuzz_search(
     ids = _validate_ids(ineq_ids)
     if budget < 0:
         raise UsageError(f"budget must be >= 0, got {budget}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     for def_id in ids:
         for trial in range(budget):
             rec = _run_trial(def_id, seed, trial, FUZZ_RADII, 256, 1e-8, aggressive=True)

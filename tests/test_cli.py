@@ -102,6 +102,18 @@ def test_bad_sweep_option_names_no_trial(flag, value, names, capsys):
     assert "trial" not in lines[0] and "seed" not in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, seed",
+    [(["check", "--ineq", "E1", "--trials", "1"], -1), (["fuzz", "--ineq", "E1", "--budget", "1"], -3)],
+    ids=["check", "fuzz"],
+)
+def test_negative_seed_is_one_usage_line(argv, seed, capsys):
+    assert main([*argv, "--seed", str(seed)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: seed must be >= 0, got {seed}"]
+    assert captured.out == ""
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(polarineq.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "polarineq", "--help"], env=env,

@@ -46,6 +46,14 @@ def test_run_suite_bad_trials():
         run_suite(["E1"], 0, seed=1)
 
 
+def test_negative_seed_is_a_usage_error():
+    # Checked before the first trial, like trials and budget: no trial error.
+    with pytest.raises(UsageError, match=r"^seed must be >= 0, got -1$"):
+        run_suite(["E1"], 1, seed=-1)
+    with pytest.raises(UsageError, match=r"^seed must be >= 0, got -3$"):
+        fuzz_search(["E1"], 1, seed=-3)
+
+
 def test_reports_byte_identical_across_runs():
     a = run_suite(["E2", "LE4"], 4, seed=11)
     b = run_suite(["E2", "LE4"], 4, seed=11)
