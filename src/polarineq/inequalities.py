@@ -4,10 +4,12 @@ Every entry turns one inequality into an evaluable pair of nonnegative sides
 over ``(P, F, spec, z)``.  Hypotheses are verified before any check runs;
 instances that fail them are rejected, never scored.  ``check_inequality``
 is the one sweep routine: it evaluates z on circle grids and zooms in on the
-smallest slacks with batched side evaluations until each bracket is flat to
-rounding or cannot overtake, and a finite grid plus the zoom stands in for
-the continuum claim: pointwise modulus comparisons are smooth in the angle,
-so the zoom bounds the grid error.  ``sharpness_probe`` runs the same sweep
+smallest slacks with batched side evaluations, recentring each bracket on
+the vertex of the parabola through its best samples (successive parabolic
+interpolation), until each bracket is flat to rounding, predicts no gain
+above rounding or cannot overtake.  A finite grid plus the zoom stands in
+for the continuum claim: pointwise modulus comparisons are smooth in the
+angle, so the zoom bounds the grid error.  ``sharpness_probe`` runs the same sweep
 on an equality family.
 
 The polar derivative gives back the ordinary one in the limit
@@ -82,17 +84,21 @@ Z_MODULUS_LIMIT = 1e3
 # Sides are judged at tol_rel 1e-8, so circle extrema are asked for well
 # below that: within their tolerance the extremum's basin is not resolved.
 EXTREMUM_EPS_REL = 1e-10
-# The zoom of check_inequality (see its docstring): at most 14 levels that
-# shrink 8x narrow the grid spacing by 8**14 = 4.4e12, to about 3e-15 rad at
-# 512 angles, the rounding level of an angle near 2*pi.  A smooth minimum is
-# flat to rounding once its bracket is narrower than about sqrt(eps), after
-# 6-7 levels; a bracket whose samples agree to ZOOM_FLAT (about 45 ulps) of
-# the sides' scale retires then.  A kink never reads flat and runs every level.
+# The zoom of check_inequality (see its docstring).  Where the fallback
+# rule (shrink 8x) runs every level, as on a kink, 14 levels narrow the grid
+# spacing by 8**14 = 4.4e12, to about 3e-15 rad at 512 angles, the rounding
+# level of an angle near 2*pi.  A vertex step narrows the spacing by up to
+# 8 * ZOOM_VERTEX_SHRINK = 4096x, so three or four levels cover that factor;
+# the floor also keeps a vertex that lands on a sample from collapsing the
+# bracket to a point.  A bracket whose samples agree to ZOOM_FLAT (about 45
+# ulps) of the sides' scale, or whose parabola predicts a gain below that,
+# has converged: a smooth minimum does so after 3 levels.
 ZOOM_BRACKETS = 5
 ZOOM_POINTS = 17
 ZOOM_SHRINK = 8.0
 ZOOM_LEVELS = 14
 ZOOM_FLAT = 1e-14
+ZOOM_VERTEX_SHRINK = 512.0
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, ZOOM_POINTS)
 # Shared by every report whose entry has no ``tally``.
 NO_EXTRA: Mapping = MappingProxyType({})
@@ -734,17 +740,22 @@ def check_inequality(
     Each radius gets a grid of ``angles_per_radius`` angles, one batched side
     evaluation for all radii.  The ``ZOOM_BRACKETS`` smallest grid slacks
     then each start a bracket of +- one grid spacing, and the zoom runs at
-    most ``ZOOM_LEVELS`` levels: each samples every live bracket at
-    ``ZOOM_POINTS`` angles in one batched side evaluation, recentres it on its
-    best sample and shrinks it ``ZOOM_SHRINK`` times.  A bracket retires once
-    its samples agree to ``ZOOM_FLAT`` times ``max(lhs, rhs)`` at the best
-    grid candidate (it has converged), or once its best sample less its
-    spread lies above the lowest slack sampled so far (it cannot overtake).
-    A NaN keeps a bracket live.  The witness is the exact z at which the
-    reported slack was computed.  For unit-circle entries only the radius-1
-    slice is swept; parameter-only entries evaluate once.  An entry with a registry
-    ``tally`` has it applied to each radius's grid, and the counts are summed
-    into the report's ``extra``.
+    most ``ZOOM_LEVELS`` levels.  Each level samples every live bracket at
+    ``ZOOM_POINTS`` angles in one batched side evaluation.  Where the best
+    sample is interior and the parabola through it and its two neighbours
+    curves upward, the bracket recentres on that parabola's vertex, with a
+    half-width of twice the vertex's distance from the best sample, kept
+    between ``1 / ZOOM_VERTEX_SHRINK`` of the sample spacing and the spacing
+    itself; otherwise it recentres on its best sample and shrinks
+    ``ZOOM_SHRINK`` times.  A bracket retires once its samples agree to
+    ``ZOOM_FLAT`` times ``max(lhs, rhs)`` at the best grid candidate, or once
+    its parabola predicts a gain below that (it has converged), or once its
+    best sample less its spread lies above the lowest slack sampled so far
+    (it cannot overtake).  A NaN keeps a bracket live.  The witness is the
+    exact z at which the reported slack was computed.  For unit-circle
+    entries only the radius-1 slice is swept; parameter-only entries
+    evaluate once.  An entry with a registry ``tally`` has it applied to each
+    radius's grid, and the counts are summed into the report's ``extra``.
     """
     defn = inst.defn
     radii = check_sweep_options(radii, angles_per_radius, tol_rel)
@@ -799,36 +810,62 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
     # The ZOOM_BRACKETS smallest slacks of each radius, then the smallest of
     # those; the stable sort keeps ties in radius order.
     top = np.argsort(slack, axis=1)[:, :ZOOM_BRACKETS]
-    pick = np.argsort(np.take_along_axis(slack, top, axis=1).ravel(), kind="stable")
-    row = pick[:ZOOM_BRACKETS] // top.shape[1]
-    col = top.ravel()[pick[:ZOOM_BRACKETS]]
-    best, best_z, centre = slack[row, col], z[row, col], theta[col]
-    radius = np.asarray(radii)[row]
-    flat = ZOOM_FLAT * np.maximum(lhs[row[0], col[0]], rhs[row[0], col[0]])
-    live = np.ones(len(best), dtype=bool)
+    rows = np.arange(len(radii))[:, None]
+    pick = np.argsort(slack[rows, top].ravel(), kind="stable")[:ZOOM_BRACKETS]
+    row, col = pick // ZOOM_BRACKETS, top.ravel()[pick]
+    flat = ZOOM_FLAT * float(np.maximum(lhs[row[0], col[0]], rhs[row[0], col[0]]))
+    # (low, witness) is the lowest slack sampled so far and its z; the
+    # candidates come sorted, NaN last, so the first is the lowest unless a
+    # NaN makes it NaN, and a NaN low never changes.
+    first = slack[row, col]
+    j = int(first.argmin())
+    low, witness = float(first[j]), complex(z[row[j], col[j]])
+    # Each live bracket is [radius, centre, half-width], as Python floats:
+    # numpy calls on 5-element arrays cost more than the arithmetic.
     half = 2.0 * np.pi / angles_per_radius
+    live = [[radii[r], centre, half] for r, centre in zip(row.tolist(), theta[col].tolist())]
     for _ in range(ZOOM_LEVELS):
-        rows = np.flatnonzero(live)
-        theta = centre[rows, None] + half * _ZOOM_OFFSETS
-        z = radius[rows, None] * np.exp(1j * theta)
+        state = np.array(live)
+        theta = state[:, 1:2] + state[:, 2:] * _ZOOM_OFFSETS
+        z = state[:, :1] * np.exp(1j * theta)
         slack = _oriented_slack(defn, *_sides_at(inst, z.ravel())).reshape(z.shape)
-        at = np.arange(len(rows))
-        i = slack.argmin(axis=1)
-        low = slack[at, i]
-        centre[rows] = theta[at, i]
-        better = low < best[rows]
-        best[rows] = np.where(better, low, best[rows])
-        best_z[rows] = np.where(better, z[at, i], best_z[rows])
-        half /= ZOOM_SHRINK
         samples += z.size
+        fits = []
+        for k, (bracket, s, i) in enumerate(zip(live, slack.tolist(), slack.argmin(axis=1).tolist())):
+            if s[i] < low:
+                low, witness = s[i], z.item(k, i)
+            bracket[1], bracket[2], gain = _vertex_step(s, i, theta.item(k, i), bracket[2])
+            fits.append((s[i], max(s) - s[i], gain))
         # Written so that a NaN keeps its bracket live.
-        spread = slack.max(axis=1) - low
-        live[rows] = ~(spread <= flat) & ~(low - spread > best.min())
-        if not live.any():
+        live = [
+            bracket
+            for bracket, (best, spread, gain) in zip(live, fits)
+            if not (spread <= flat or gain <= flat or best - spread > low)
+        ]
+        if not live:
             break
 
-    j = int(best.argmin())
-    return float(best[j]), complex(best_z[j]), samples, extra
+    return low, witness, samples, extra
+
+
+def _vertex_step(s: list, i: int, theta_i: float, half: float) -> tuple[float, float, float]:
+    """A zoom bracket's next (centre, half-width) and its parabola's gain.
+
+    ``s`` holds the bracket's slacks and ``s[i]`` the lowest, sampled at
+    ``theta_i``; ``check_inequality`` states the rule.  The gain is how far
+    the parabola's vertex lies below ``s[i]`` (successive parabolic
+    interpolation, Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 5), and NaN where no parabola is fitted.
+    """
+    h = 2.0 * half / (ZOOM_POINTS - 1)
+    if 0 < i < ZOOM_POINTS - 1:
+        a, c = s[i - 1], s[i + 1]
+        curv = a + c - 2.0 * s[i]
+        if curv > 0.0:
+            u = (a - c) / (2.0 * curv)
+            width = min(max(2.0 * abs(u) * h, h / ZOOM_VERTEX_SHRINK), h)
+            return theta_i + u * h, width, (a - c) ** 2 / (8.0 * curv)
+    return theta_i, half / ZOOM_SHRINK, math.nan
 
 
 # ---------------------------------------------------------------------------

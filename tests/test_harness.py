@@ -67,10 +67,10 @@ def test_report_bytes_pinned():
     # the old and new hashes in CHANGES.md and updates them here.
     rep = run_suite(list(INEQUALITY_IDS), 1, seed=42)
     assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == (
-        "f6b8226c85b9c89097db8e1e01b421d5b305a5b8b137375abc61a9c8ad7ff3cb"
+        "450ba39842e8e6cb5c238872a7c7245b607593a0b22a313f6cc7f9de7a4606ed"
     )
     assert hashlib.sha256(report_to_csv(rep).encode()).hexdigest() == (
-        "e2dfe4660a77b5f1a328f87ea3d11e02675b1124b911cdb4721ffaf3992c643d"
+        "8b301a33b436bb7c3d18a6d4abd814e3f53627350fb63100c3acb995a0ab3e17"
     )
 
 

@@ -266,16 +266,20 @@ def _synthetic_sweep(slack_of_angle, nan_in=None):
     return rep, sum(size > 1 for size in sizes[1:])
 
 
-def test_zoom_runs_every_level_on_a_kink():
-    # A V-shaped slack never reads flat, so the cap is what ends the zoom.
+def test_zoom_closes_in_on_a_kink():
+    # A V-shaped slack never reads flat.  The parabola through the samples
+    # about its best one still moves the bracket onto the kink, and once its
+    # predicted gain is below rounding the bracket retires, within 8.6e-14 of
+    # the kink's value (the cap of ZOOM_LEVELS levels of 8x gets that close).
     rep, levels = _synthetic_sweep(lambda t: 1.0 + 100.0 * np.abs(t))
-    assert levels == ZOOM_LEVELS
-    assert rep.min_slack - 1.0 == pytest.approx(8.6e-14, rel=0.01)
+    assert levels <= ZOOM_LEVELS
+    assert 0.0 <= rep.min_slack - 1.0 <= 8.6e-14
 
 
 def test_zoom_stops_once_a_bowl_is_flat():
+    # An exact parabola: the first vertex step lands on its minimum.
     rep, levels = _synthetic_sweep(lambda t: 1.0 + 100.0 * t**2)
-    assert levels < ZOOM_LEVELS
+    assert levels <= 4
     assert 0.0 <= rep.min_slack - 1.0 <= 1e-14
 
 
@@ -301,6 +305,23 @@ def test_every_witness_replays_to_its_slack():
     for r in rep.records:
         slack = replay_witness(r.ineq_id, r.seed, r.trial, r.witness_z)
         assert abs(slack - r.min_slack) <= 4 * np.finfo(float).eps * r.scale, r
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2])
+def test_zoom_is_no_worse_than_a_dense_scan(seed):
+    # A 2**15-angle scan of every swept radius, 64x the grid, finds no slack
+    # below the zoom's min_slack beyond rounding: the vertex steps and the
+    # retire tests do not stop a bracket short of its minimum.
+    theta = 2.0 * np.pi * np.arange(2**15) / 2**15
+    for r in run_suite(list(INEQUALITY_IDS), 4, seed=seed).records:
+        inst = regenerate_instance(r.ineq_id, r.seed, r.trial)
+        if inst.defn.domain == "parameter_only":
+            continue
+        radii = (1.0,) if inst.defn.domain == "unit_circle" else DEFAULT_RADII
+        z = (np.asarray(radii)[:, None] * np.exp(1j * theta)).ravel()
+        lhs, rhs = inst.defn.sides(inst, z)
+        dense = _oriented_slack(inst.defn, np.asarray(lhs), np.asarray(rhs)).min()
+        assert r.min_slack <= dense + 1e-13 * r.scale, r
 
 
 def test_zoom_finds_an_off_grid_maximum():
