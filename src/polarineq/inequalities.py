@@ -9,8 +9,8 @@ the vertex of the parabola through its best samples (successive parabolic
 interpolation), until each bracket is flat to rounding, predicts no gain
 above rounding or cannot overtake.  A finite grid plus the zoom stands in
 for the continuum claim: pointwise modulus comparisons are smooth in the
-angle, so the zoom bounds the grid error.  ``sharpness_probe`` runs the same sweep
-on an equality family.
+angle, so the zoom bounds the grid error.  ``sharpness_probe`` runs the
+same sweep on an equality family.
 
 The polar derivative gives back the ordinary one in the limit
 ``D_alpha P / alpha -> P'`` as ``|alpha| -> inf``, so a spec with no polar
@@ -84,15 +84,15 @@ Z_MODULUS_LIMIT = 1e3
 # Sides are judged at tol_rel 1e-8, so circle extrema are asked for well
 # below that: within their tolerance the extremum's basin is not resolved.
 EXTREMUM_EPS_REL = 1e-10
-# The zoom of check_inequality (see its docstring).  Where the fallback
-# rule (shrink 8x) runs every level, as on a kink, 14 levels narrow the grid
-# spacing by 8**14 = 4.4e12, to about 3e-15 rad at 512 angles, the rounding
-# level of an angle near 2*pi.  A vertex step narrows the spacing by up to
-# 8 * ZOOM_VERTEX_SHRINK = 4096x, so three or four levels cover that factor;
-# the floor also keeps a vertex that lands on a sample from collapsing the
-# bracket to a point.  A bracket whose samples agree to ZOOM_FLAT (about 45
-# ulps) of the sides' scale, or whose parabola predicts a gain below that,
-# has converged: a smooth minimum does so after 3 levels.
+# The zoom of check_inequality (see its docstring).  The fallback rule
+# alone (shrink 8x) narrows the grid spacing by 8**14 = 4.4e12 in 14 levels,
+# to about 3e-15 rad at 512 angles, the rounding level of an angle near
+# 2*pi.  A vertex step narrows the spacing by up to 8 * ZOOM_VERTEX_SHRINK =
+# 4096x, so three or four levels cover that factor; the floor also keeps a
+# vertex that lands on a sample from collapsing the bracket to a point.  A
+# bracket whose samples agree to ZOOM_FLAT (about 45 ulps) of the sides'
+# scale, or whose parabola predicts a gain below that, has converged: most
+# smooth minima do so after 3 levels.
 ZOOM_BRACKETS = 5
 ZOOM_POINTS = 17
 ZOOM_SHRINK = 8.0
@@ -831,7 +831,8 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
         slack = _oriented_slack(defn, *_sides_at(inst, z.ravel())).reshape(z.shape)
         samples += z.size
         fits = []
-        for k, (bracket, s, i) in enumerate(zip(live, slack.tolist(), slack.argmin(axis=1).tolist())):
+        best_at = slack.argmin(axis=1).tolist()
+        for k, (bracket, s, i) in enumerate(zip(live, slack.tolist(), best_at)):
             if s[i] < low:
                 low, witness = s[i], z.item(k, i)
             bracket[1], bracket[2], gain = _vertex_step(s, i, theta.item(k, i), bracket[2])

@@ -104,7 +104,10 @@ def test_bad_sweep_option_names_no_trial(flag, value, names, capsys):
 
 @pytest.mark.parametrize(
     "argv, seed",
-    [(["check", "--ineq", "E1", "--trials", "1"], -1), (["fuzz", "--ineq", "E1", "--budget", "1"], -3)],
+    [
+        (["check", "--ineq", "E1", "--trials", "1"], -1),
+        (["fuzz", "--ineq", "E1", "--budget", "1"], -3),
+    ],
     ids=["check", "fuzz"],
 )
 def test_negative_seed_is_one_usage_line(argv, seed, capsys):

@@ -327,8 +327,8 @@ def test_zoom_is_no_worse_than_a_dense_scan(seed):
 def test_zoom_finds_an_off_grid_maximum():
     # |P'| = |n z^(n-1) + b| on |z| = 1 peaks at n + |b| where z^(n-1) lines
     # up with b.  arg b puts all four peaks a third of a spacing off the
-    # 512-angle grid, where the grid alone misses n + |b| by about 1e-5; a
-    # third is not a multiple of any 8**-L, so no zoom sample lands on a peak.
+    # 512-angle grid, where the grid alone misses n + |b| by about 1e-5, so
+    # the zoom has to close in on a peak between grid angles.
     n, angles = 5, 512
     peak = (100.0 + 1.0 / 3.0) * 2.0 * math.pi / angles
     b = 0.6 * complex(math.cos((n - 1) * peak), math.sin((n - 1) * peak))
