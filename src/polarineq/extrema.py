@@ -66,11 +66,12 @@ at r = 1e60), the call certifies ``P / sum |a_j| r**j`` and scales back.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, circle_values, derivative, evaluate, modulus_bound, scale
+from .poly import Polynomial, circle_values, derivative, evaluate, modulus_bound
 
 __all__ = ["CircleExtremum", "ToleranceUnattainableError", "circle_extremum"]
 
@@ -122,7 +123,6 @@ class _Certifier:
         self.grid = 1 << max(6, (8 * len(self.b) - 1).bit_length())
         fourier = _abs_sq_fourier(self.b)
         ls = np.arange(1, len(fourier))
-        self.lip1 = float(2.0 * np.sum(ls * np.abs(fourier[1:])))
         self.lip2 = float(2.0 * np.sum(ls**2 * np.abs(fourier[1:])))
         self.lip3 = float(2.0 * np.sum(ls**3 * np.abs(fourier[1:])))
         # Bound on |computed P - P| at any angle: Horner's error, the rounding
@@ -171,8 +171,7 @@ class _Certifier:
 
     def stationary_slack(self, spacing: float) -> float:
         # How far above/below the nearest sample a stationary point of f can sit.
-        half = spacing / 2.0
-        return min(self.lip1 * half, 0.5 * self.lip2 * half**2)
+        return 0.5 * self.lip2 * (spacing / 2.0) ** 2
 
     def grid_moduli(self) -> np.ndarray:
         # |P| at theta_k = 2*pi*k/grid, by FFT.
@@ -261,30 +260,32 @@ def circle_extremum(
     size = modulus_bound(p, r)
     if not math.isfinite(size):
         raise ValueError(f"P is not finite on the contour |z| = {r}")
+    if not size >= sys.float_info.min:
+        raise ValueError(f"P is below the normal float range on the contour |z| = {r}")
     if eps is None:
         eps = 1e-9 * modulus_bound(p, max(1.0, r))
     if not eps > 0:
         raise ValueError(f"tolerance must be positive, got {eps}")
-    lip3_bound = 2.0 * len(p.coeffs) ** 3 * size * size  # at least _Certifier.lip3
-    if not math.isfinite(lip3_bound * lip3_bound):
-        # |P|**2, the bounds on its derivatives or the square of f' would
-        # overflow: certify P / size, whose squares are at most about 1, and
-        # scale back.
-        unit = circle_extremum(scale(p, 1.0 / size), r, kind, eps / size)
-        t = unit.witness_theta
-        value = abs(evaluate(p, r * complex(math.cos(t), math.sin(t))))
-        err = size * unit.certified_error + abs(value - size * unit.value)
-        if not err <= eps:
-            raise ToleranceUnattainableError(f"certified error {err:.3g} exceeds {eps:.3g}")
-        return CircleExtremum(kind, float(r), float(value), float(t), float(err))
+    # Certify P * 2**-e, where 2**e is just above size, and scale back: a
+    # power of two scales every FFT, Horner, hypot and sqrt step exactly, and
+    # at unit scale |P|**2, the bounds on its derivatives and the square of
+    # f' stay finite.  A tolerance past 2*size prunes every first-level
+    # bracket, as any larger one does, so capping it keeps its scaled copy finite.
+    e = math.frexp(size)[1]
+    try:
+        p = Polynomial(tuple(complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+                             for c in p.coeffs))
+    except OverflowError:
+        raise ValueError(f"a coefficient of P overflows at unit scale on |z| = {r}") from None
+    tol = math.ldexp(min(eps, 2.0 * size), -e)
 
     maximize = kind == "max"
     cert = _Certifier(p, r)
     rho = cert.rho
     # The bounds carry rho per evaluation, the pruning margin two more.
-    if not eps > 4.0 * rho:
+    if not tol > 4.0 * rho:
         raise ToleranceUnattainableError(
-            f"tolerance {eps:.3g} is below the rounding bound {4.0 * rho:.3g}"
+            f"tolerance {eps:.3g} is below the rounding bound {math.ldexp(4.0 * rho, e):.3g}"
         )
 
     mods = cert.grid_moduli()
@@ -321,9 +322,9 @@ def circle_extremum(
                 if i < j:
                     bound[i:j] = (np.fmin if maximize else np.fmax)(bound[i:j], cap)
         if maximize:
-            keep = bound > inc_v + eps - 2.0 * rho
+            keep = bound > inc_v + tol - 2.0 * rho
         else:
-            keep = bound < inc_v - eps + 2.0 * rho
+            keep = bound < inc_v - tol + 2.0 * rho
         out = bound[~keep]
         if len(out):
             pruned = max(pruned, float(out.max())) if maximize else min(pruned, float(out.min()))
@@ -361,6 +362,8 @@ def circle_extremum(
     if moved:
         inc_t, inc_v, *_ = _polish(p, r, inc_t, maximize, width)
     err = max(pruned - inc_v if maximize else inc_v - pruned, rho)
-    if not err <= eps:
-        raise ToleranceUnattainableError(f"certified error {err:.3g} exceeds {eps:.3g}")
-    return CircleExtremum(kind, float(r), float(inc_v), float(inc_t), float(err))
+    if not err <= tol:
+        raise ToleranceUnattainableError(
+            f"certified error {math.ldexp(err, e):.3g} exceeds {eps:.3g}"
+        )
+    return CircleExtremum(kind, float(r), math.ldexp(inc_v, e), float(inc_t), math.ldexp(err, e))

@@ -205,7 +205,8 @@ def test_flat_modulus_keeps_the_frontier_small(coeffs, kind, evaluations, monkey
     # f'' = 0 everywhere, so there is no basin and the call runs the plain
     # search; |z^12 + 1e-12| has |f''| = 2.9e-10 at its extrema, above the
     # rounding bound on the computed f'' (about 4e-11), and its basin's cap
-    # (floor) must hold.
+    # (floor) must hold.  The certifier works on P / 2, which puts
+    # sum |a_j| just under 1, so the cap is in those units.
     basins = []
     real = extrema._Certifier.basin
     monkeypatch.setattr(extrema._Certifier, "basin",
@@ -219,7 +220,8 @@ def test_flat_modulus_keeps_the_frontier_small(coeffs, kind, evaluations, monkey
     if coeffs[0] == 0:
         assert basin is None
     else:
-        assert basin[2] >= want if kind == "max" else basin[2] <= want
+        cap = 2.0 * basin[2]
+        assert cap >= want if kind == "max" else cap <= want
 
 
 def test_unattainable_tolerance_raises_before_evaluating(evaluations):
