@@ -1,25 +1,31 @@
 """Certified maxima and minima of |P| on circles |z| = r.
 
+Every call works at unit scale: it certifies ``P * 2**-e``, where ``2**e``
+is the power of two just above ``sum |a_j| r**j``, and scales the value and
+the certified error back.  A power of two scales every FFT, Horner, hypot
+and sqrt step exactly, and at that scale |P| < 1, so no square below
+overflows or underflows.  A P below the normal float range is a ValueError.
+
 The square ``f(theta) = |P(r e^{i theta})|**2`` is a trigonometric polynomial
 whose Fourier coefficients follow directly from the polynomial coefficients,
-so coefficient-sum bounds ``Lf`` on |f'|, ``L2`` on |f''| and ``L3`` on
-|f'''| are available without invoking any of the derivative inequalities
-this package exists to test.  An extremum of f inside a bracket of width d
-is either an end of the bracket or a stationary point, and a stationary
-point sits at most ``q(d) = min(Lf*d/2, L2*(d/2)**2/2)`` above (below) the
-nearer end.
+so coefficient-sum bounds ``L2`` on |f''| and ``L3`` on |f'''| are available
+without invoking any of the derivative inequalities this package exists to
+test.  An extremum of f inside a bracket of width d is either an end of the
+bracket or a stationary point, and a stationary point sits at most
+``q(d) = L2*(d/2)**2/2`` above (below) the nearer end.
 
-``circle_extremum`` is a branch-and-bound over a frontier of brackets of
-angles (Piyavskii 1972; Shubert 1972):
+``circle_extremum`` is a branch-and-bound over one frontier of brackets of
+angles (Piyavskii 1972; Shubert 1972), each carrying the complex values of P
+at its two ends:
 
-- The first level samples |P| on a uniform grid of ``8 * (degree + 1)``
+- The first level samples P on a uniform grid of ``8 * (degree + 1)``
   angles or more, rounded up to a power of two, with one FFT
   (``poly.circle_values``).  Every gap between neighbouring samples is a
   bracket.  The best sample is polished at once, by safeguarded Newton
   steps on ``f'(theta) = 0`` with P, P' and P'' (each step clipped to the
   grid spacing, and none taken once its predicted gain in f is below the
   rounding of f).
-- A bracket's bound on |P| is its better end value plus the stationary
+- A bracket's bound on |P| is its better end modulus plus the stationary
   slack ``q(width)``, widened by ``rho``: an explicit bound on the rounding
   error of one evaluation of P, by FFT or by Horner, of a few units of
   roundoff per degree times ``sum |a_j| r**j``.  A tolerance below ``4*rho``
@@ -39,14 +45,12 @@ angles (Piyavskii 1972; Shubert 1972):
   aiming at about 1024 new angles per level, never fewer than 2 parts) and
   evaluates all the new angles in one batched ``poly.evaluate`` pass.
 - The global ``L2`` does not shrink with min |P|, so near a deep minimum
-  it keeps hundreds of thousands of brackets alive.  Once a min frontier
-  passes ``_CHORD_FRONTIER`` brackets, the complex values of P at the
-  survivors' ends are evaluated and carried from then on, and each bracket
-  also gets the chord bound: |P| is at least the distance from 0 to the
-  chord between its end values, less ``rho`` and ``M2 * width**2 / 8`` with
-  ``M2 = sum j**2 |a_j| r**j`` (the interpolation error of a chord, which
-  holds for complex-valued functions).  Smaller frontiers, and every max
-  call, keep the moduli alone.
+  it keeps thousands of brackets alive.  A min frontier of more than
+  ``_CHORD_FRONTIER`` brackets also gets the chord bound: |P| is at least
+  the distance from 0 to the chord between a bracket's end values, less
+  ``rho`` and ``M2 * width**2 / 8`` with ``M2 = sum j**2 |a_j| r**j`` (the
+  interpolation error of a chord, which holds for complex-valued
+  functions).  Smaller frontiers, and every max call, use the moduli alone.
 - When the frontier is empty, the worst pruned bound certifies the
   incumbent.  An incumbent that a level sample set, rather than the first
   polish, is polished the same way.
@@ -58,9 +62,7 @@ callers that need the value tighter than that ask for a smaller ``eps``.
 One evaluated-point budget of ``2**22`` caps the work of a call, and a level
 may add at most an eighth of it, which keeps the frontier's arrays small; a
 call that would exceed either raises ``ToleranceUnattainableError``.  The
-default tolerance is ``1e-9 * modulus_bound(p, max(1, r))``.  When
-``sum |a_j| r**j`` is finite but the bounds on f would overflow (P = 1 + z**3
-at r = 1e60), the call certifies ``P / sum |a_j| r**j`` and scales back.
+default tolerance is ``1e-9 * modulus_bound(p, max(1, r))``.
 """
 
 from __future__ import annotations
@@ -117,7 +119,6 @@ class _Certifier:
     """Coefficient-sum bounds on f = |P(r e^{i theta})|**2 and on its rounding."""
 
     def __init__(self, p: Polynomial, r: float):
-        self.p, self.r = p, r
         self.b = np.asarray(p.coeffs, dtype=complex) * r ** np.arange(len(p.coeffs))
         # The first level's grid, at least 8 samples per coefficient.
         self.grid = 1 << max(6, (8 * len(self.b) - 1).bit_length())
@@ -173,17 +174,13 @@ class _Certifier:
         # How far above/below the nearest sample a stationary point of f can sit.
         return 0.5 * self.lip2 * (spacing / 2.0) ** 2
 
-    def grid_moduli(self) -> np.ndarray:
-        # |P| at theta_k = 2*pi*k/grid, by FFT.
-        return np.abs(circle_values(self.p, self.r, self.grid))
-
     def chord_bound(self, v_lo: np.ndarray, v_hi: np.ndarray, width: float) -> np.ndarray:
         """Lower bounds on |P| over brackets of ``width`` from P at their ends.
 
         On a bracket, P is within ``M2 * width**2 / 8`` of its chord, where
         ``M2 = sum j**2 |b_j|`` bounds |d**2 P / d theta**2|, and the computed
-        ends are within ``rho`` of P.  A chord that is a point or whose
-        length overflows gives NaN, which ``np.fmax`` passes over.
+        ends are within ``rho`` of P.  A chord that is a point or has a NaN
+        end gives NaN, which ``np.fmax`` passes over.
         """
         with np.errstate(all="ignore"):
             d = v_hi - v_lo
@@ -249,7 +246,8 @@ def circle_extremum(
     ``|true - value|``.  For ``kind="min"`` the value may be (numerically)
     zero when P vanishes on the circle; callers treating the minimum as a
     strict-positivity witness must require ``value > certified_error``.
-    Raises ValueError when ``sum |a_j| r**j`` overflows a float.
+    Raises ValueError when ``sum |a_j| r**j`` overflows a float or is below
+    the normal float range.
     """
     if p.is_zero:
         raise ValueError("extremum of the zero polynomial is undefined")
@@ -288,11 +286,11 @@ def circle_extremum(
             f"tolerance {eps:.3g} is below the rounding bound {math.ldexp(4.0 * rho, e):.3g}"
         )
 
-    mods = cert.grid_moduli()
     width = 2.0 * math.pi / cert.grid
     left = width * np.arange(cert.grid)
-    m_lo, m_hi = mods, np.roll(mods, -1)
-    ends = None  # complex P at each bracket's ends, once the chord bound is on
+    grid = circle_values(p, r, cert.grid)
+    v_lo, v_hi = grid, np.roll(grid, -1)  # P at each bracket's ends
+    mods = np.abs(grid)
     best = int(mods.argmax() if maximize else mods.argmin())
     inc_t, inc_v, *at_witness = _polish(p, r, float(left[best]), maximize, width)
     basin = cert.basin(inc_t, *at_witness, maximize)
@@ -301,17 +299,18 @@ def circle_extremum(
     used = cert.grid
     while True:
         # A bound on |P| over each bracket: its better end modulus, within rho
-        # of |P|, and the stationary slack of |P|**2 for its width (an
-        # overflowed inf - inf gives no lower bound).  A bracket inside the
-        # basin also takes the basin's bound when that is tighter.
+        # of |P|, and the stationary slack of |P|**2 for its width.  A large
+        # min frontier also takes the chord bound, and a bracket inside the
+        # basin the basin's bound, when that is tighter.
         slack = cert.stationary_slack(width)
+        m_lo, m_hi = np.abs(v_lo), np.abs(v_hi)
         if maximize:
             bound = np.sqrt(np.maximum(m_lo, m_hi) ** 2 + slack) + rho
         else:
             low = np.maximum(np.minimum(m_lo, m_hi) - rho, 0.0) ** 2 - slack
             bound = np.sqrt(np.fmax(low, 0.0))
-            if ends is not None:
-                bound = np.fmax(bound, cert.chord_bound(*ends, width))
+            if len(left) > _CHORD_FRONTIER:
+                bound = np.fmax(bound, cert.chord_bound(v_lo, v_hi, width))
         if basin is not None:
             # ``left`` is sorted, so the brackets wholly on the arc, or on
             # its copies 2 pi away, are contiguous runs.
@@ -330,33 +329,25 @@ def circle_extremum(
             pruned = max(pruned, float(out.max())) if maximize else min(pruned, float(out.min()))
         if not keep.any():
             break
-        left, m_lo, m_hi = left[keep], m_lo[keep], m_hi[keep]
-        chord_on = ends is None and not maximize and len(left) > _CHORD_FRONTIER
+        left, v_lo, v_hi = left[keep], v_lo[keep], v_hi[keep]
         split = min(_MAX_SPLIT, max(2, _LEVEL_POINTS // len(left)))
         new = len(left) * (split - 1)
-        used += new + (2 * len(left) if chord_on else 0)
+        used += new
         if used > _BUDGET or new > _BUDGET // 8:
             raise ToleranceUnattainableError(
                 f"tolerance {eps:.3g} needs more evaluated points than {_BUDGET}"
             )
-        if chord_on:
-            ends = _vector_eval(p, r, np.concatenate([left, left + width])).reshape(2, -1)
-        elif ends is not None:
-            ends = ends[:, keep]
         cuts = width / split * np.arange(split)
         theta = (left[:, None] + cuts[None, 1:]).ravel()
         values = _vector_eval(p, r, theta).reshape(len(left), split - 1)
         inner = np.abs(values)
-        if ends is not None:
-            cz = np.concatenate([ends[0][:, None], values, ends[1][:, None]], axis=1)
-            ends = np.stack([cz[:, :-1].ravel(), cz[:, 1:].ravel()])
         best = int(inner.argmax() if maximize else inner.argmin())
         if inner.flat[best] > inc_v if maximize else inner.flat[best] < inc_v:
             inc_t, inc_v = float(theta[best]), float(inner.flat[best])
             moved = True
-        row = np.concatenate([m_lo[:, None], inner, m_hi[:, None]], axis=1)
+        row = np.concatenate([v_lo[:, None], values, v_hi[:, None]], axis=1)
         left = (left[:, None] + cuts[None, :]).ravel()
-        m_lo, m_hi = row[:, :-1].ravel(), row[:, 1:].ravel()
+        v_lo, v_hi = row[:, :-1].ravel(), row[:, 1:].ravel()
         width /= split
 
     if moved:

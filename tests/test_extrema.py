@@ -27,7 +27,7 @@ CELL_69_LAYOUT_SEED = 2375365246
 def evaluations(monkeypatch):
     """Counts of scalar evaluations and of points evaluated (FFT grid included)."""
     counts = {"scalar": 0, "points": 0}
-    real_evaluate, real_grid = extrema.evaluate, extrema._Certifier.grid_moduli
+    real_evaluate, real_grid = extrema.evaluate, extrema.circle_values
 
     def evaluate_counted(p, z):
         if isinstance(z, np.ndarray):
@@ -36,12 +36,12 @@ def evaluations(monkeypatch):
             counts["scalar"] += 1
         return real_evaluate(p, z)
 
-    def grid_counted(self):
-        counts["points"] += self.grid
-        return real_grid(self)
+    def grid_counted(p, r, samples):
+        counts["points"] += samples
+        return real_grid(p, r, samples)
 
     monkeypatch.setattr(extrema, "evaluate", evaluate_counted)
-    monkeypatch.setattr(extrema._Certifier, "grid_moduli", grid_counted)
+    monkeypatch.setattr(extrema, "circle_values", grid_counted)
     return counts
 
 
