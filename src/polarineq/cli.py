@@ -15,10 +15,10 @@ import sys
 from .extrema import circle_extremum
 from .harness import (
     UsageError,
-    _jsonable,
     _stable_dumps,
     emit_report,
     fuzz_search,
+    report_to_csv,
     report_to_json,
     run_suite,
 )
@@ -111,8 +111,7 @@ def _cmd_check(args) -> int:
     if args.out:
         emit_report(report, args.format, args.out)
     else:
-        text = report_to_json(report)
-        sys.stdout.write(text)
+        sys.stdout.write(report_to_csv(report) if args.format == "csv" else report_to_json(report))
     failures = sum(1 for r in report.records if not r.passed)
     print(
         f"checked {len(report.records)} trials across "
@@ -150,13 +149,13 @@ def _cmd_fuzz(args) -> int:
     if hit is None:
         print("no violation found", file=sys.stderr)
         return 0
-    sys.stdout.write(_stable_dumps(_jsonable(hit)) + "\n")
+    sys.stdout.write(_stable_dumps(hit) + "\n")
     return 2
 
 
 def _write_fields(report) -> None:
     # Every field of a report dataclass, as one stable JSON line.
-    sys.stdout.write(_stable_dumps(_jsonable(dataclasses.asdict(report))) + "\n")
+    sys.stdout.write(_stable_dumps(dataclasses.asdict(report)) + "\n")
 
 
 def _cmd_roots(args) -> int:
@@ -183,9 +182,7 @@ def main(argv=None) -> int:
             "extrema": _cmd_extrema,
         }[args.command]
         return handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # UsageError is a ValueError.
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -158,10 +158,7 @@ def regenerate_instance(
     poly_seed = int(np.random.SeedSequence(seed, spawn_key=(idx, trial, 1)).generate_state(1)[0])
 
     n = int(rng.integers(2, 13))
-    if defn.uses_s:
-        s = defn.fixed_s if defn.fixed_s is not None else int(rng.integers(1, min(3, n - 1) + 1))
-    else:
-        s = 0
+    s = defn.fixed_s if defn.fixed_s is not None else int(rng.integers(1, min(3, n - 1) + 1))
 
     if defn.k_regime in ("unit", "any"):  # "any": no hypothesis on k, so sample k = 1
         k = 1.0
@@ -355,32 +352,24 @@ def replay_witness(
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
 def _stable_dumps(obj) -> str:
-    """JSON with sorted keys and fixed 17-significant-digit scientific floats."""
+    """JSON with sorted keys and fixed 17-significant-digit scientific floats.
+
+    A complex number is written as ``[re, im]``, and numpy scalars as the
+    Python numbers they hold.
+    """
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite value in report: {obj}")
-        return format(obj, ".16e")
+        return format(float(obj), ".16e")
+    if isinstance(obj, complex):
+        return _stable_dumps([obj.real, obj.imag])
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -395,8 +384,8 @@ def _stable_dumps(obj) -> str:
 
 def report_to_json(report: SuiteReport) -> str:
     payload = {
-        "config": _jsonable(report.config),
-        "results": _jsonable(list(report.results)),
+        "config": report.config,
+        "results": list(report.results),
         "pass": report.passed,
         # Null in the artifact so fixed-seed runs are byte-identical; the
         # measured wall time goes to stderr instead.

@@ -85,17 +85,16 @@ Z_MODULUS_LIMIT = 1e3
 # below that: within their tolerance the extremum's basin is not resolved.
 EXTREMUM_EPS_REL = 1e-10
 # The zoom of check_inequality (see its docstring).  The fallback rule
-# alone (shrink 8x) narrows the grid spacing by 8**14 = 4.4e12 in 14 levels,
-# to about 3e-15 rad at 512 angles, the rounding level of an angle near
-# 2*pi.  A vertex step narrows the spacing by up to 8 * ZOOM_VERTEX_SHRINK =
-# 4096x, so three or four levels cover that factor; the floor also keeps a
-# vertex that lands on a sample from collapsing the bracket to a point.  A
-# bracket whose samples agree to ZOOM_FLAT (about 45 ulps) of the sides'
-# scale, or whose parabola predicts a gain below that, has converged: most
-# smooth minima do so after 3 levels.
+# alone (a half-width of one sample spacing, 8x narrower) narrows the grid
+# spacing by 8**14 = 4.4e12 in 14 levels, to about 3e-15 rad at 512 angles,
+# the rounding level of an angle near 2*pi.  A vertex step narrows the
+# spacing by up to 8 * ZOOM_VERTEX_SHRINK = 4096x, so three or four levels
+# cover that factor; the floor also keeps a vertex that lands on a sample
+# from collapsing the bracket to a point.  A bracket whose samples agree to
+# ZOOM_FLAT (about 45 ulps) of the sides' scale, or whose parabola predicts a
+# gain below that, has converged: most smooth minima do so after 3 levels.
 ZOOM_BRACKETS = 5
 ZOOM_POINTS = 17
-ZOOM_SHRINK = 8.0
 ZOOM_LEVELS = 14
 ZOOM_FLAT = 1e-14
 ZOOM_VERTEX_SHRINK = 512.0
@@ -150,8 +149,7 @@ class InequalityDef:
     k_regime: str = "at_most_one"  # "at_most_one" | "at_least_one" | "unit" | "any"
     needs_alphas: bool = False
     uses_beta: bool = False
-    uses_s: bool = True  # False: entry has no chain/derivative order (s == 0)
-    fixed_s: Optional[int] = None
+    fixed_s: Optional[int] = None  # 0: entry has no chain/derivative order
     witness_hint: Optional[Callable] = None
     tally: Optional[Callable] = None
 
@@ -454,25 +452,25 @@ def _witness_dp_max(inst):
 _DEFS = [
     InequalityDef(
         "E1", "max |P'| <= n max |P| on |z|=1", "upper", "unit_circle",
-        _sides_e1, k_regime="any", uses_s=False,
+        _sides_e1, k_regime="any", fixed_s=0,
     ),
     InequalityDef(
         "E2", "P != 0 in |z|<1: max |P'| <= (n/2) max |P| on |z|=1", "upper",
-        "unit_circle", _sides_e4, zero_mode="outside", k_regime="unit", uses_s=False,
+        "unit_circle", _sides_e4, zero_mode="outside", k_regime="unit", fixed_s=0,
     ),
     InequalityDef(
         "E3", "all zeros in |z|<=1: max |P'| >= (n/2) max |P|", "lower",
         "parameter_only", _sides_e5, zero_mode="inside", k_regime="unit",
-        uses_s=False, witness_hint=_witness_dp_max,
+        fixed_s=0, witness_hint=_witness_dp_max,
     ),
     InequalityDef(
         "E4", "P != 0 in |z|<k, k>=1: max |P'| <= n/(1+k) max |P| on |z|=1",
         "upper", "unit_circle", _sides_e4, zero_mode="outside",
-        k_regime="at_least_one", uses_s=False,
+        k_regime="at_least_one", fixed_s=0,
     ),
     InequalityDef(
         "E5", "all zeros in |z|<=k, k<=1: max |P'| >= n/(1+k) max |P|", "lower",
-        "parameter_only", _sides_e5, zero_mode="inside", uses_s=False,
+        "parameter_only", _sides_e5, zero_mode="inside", fixed_s=0,
         witness_hint=_witness_dp_max,
     ),
     InequalityDef(
@@ -553,7 +551,7 @@ _DEFS = [
     ),
     InequalityDef(
         "LE3", "(1/n)|a_{n-1}/a_n| <= k for all-zeros-inside polynomials",
-        "upper", "parameter_only", _sides_le3, zero_mode="inside", uses_s=False,
+        "upper", "parameter_only", _sides_le3, zero_mode="inside", fixed_s=0,
     ),
     InequalityDef(
         "LE4", "|P_s| >= (n_s Lambda_s / (1+k)^s) |P| on |z|=1", "lower",
@@ -608,15 +606,13 @@ def build_instance(
     elif f is not None:
         raise HypothesisError(f"{def_id} takes a single polynomial")
 
-    if defn.uses_s:
-        if defn.fixed_s is not None and spec.s != defn.fixed_s:
-            raise HypothesisError(
-                f"hypothesis violated: {def_id} requires s = {defn.fixed_s}"
-            )
-        if spec.s < 1:
-            raise HypothesisError(f"hypothesis violated: {def_id} requires s >= 1")
-    elif spec.s != 0:
-        raise HypothesisError(f"hypothesis violated: {def_id} has no order s")
+    if defn.fixed_s == 0:
+        if spec.s != 0:
+            raise HypothesisError(f"hypothesis violated: {def_id} has no order s")
+    elif defn.fixed_s is not None and spec.s != defn.fixed_s:
+        raise HypothesisError(f"hypothesis violated: {def_id} requires s = {defn.fixed_s}")
+    elif spec.s < 1:
+        raise HypothesisError(f"hypothesis violated: {def_id} requires s >= 1")
 
     k = spec.k
     if defn.k_regime == "at_most_one" and not k <= 1.0:
@@ -746,16 +742,18 @@ def check_inequality(
     curves upward, the bracket recentres on that parabola's vertex, with a
     half-width of twice the vertex's distance from the best sample, kept
     between ``1 / ZOOM_VERTEX_SHRINK`` of the sample spacing and the spacing
-    itself; otherwise it recentres on its best sample and shrinks
-    ``ZOOM_SHRINK`` times.  A bracket retires once its samples agree to
-    ``ZOOM_FLAT`` times ``max(lhs, rhs)`` at the best grid candidate, or once
-    its parabola predicts a gain below that (it has converged), or once its
-    best sample less its spread lies above the lowest slack sampled so far
-    (it cannot overtake).  A NaN keeps a bracket live.  The witness is the
-    exact z at which the reported slack was computed.  For unit-circle
-    entries only the radius-1 slice is swept; parameter-only entries
-    evaluate once.  An entry with a registry ``tally`` has it applied to each
-    radius's grid, and the counts are summed into the report's ``extra``.
+    itself; otherwise it recentres on its best sample with a half-width of
+    one sample spacing, 8 times narrower.  A bracket retires once its
+    samples agree to ``ZOOM_FLAT`` times ``max(lhs, rhs)`` at the best grid
+    candidate, or once its parabola predicts a gain below that (it has
+    converged), or once its best sample less its spread lies above the
+    lowest slack sampled so far (it cannot overtake).  A NaN or infinite
+    slack in any grid or zoom sample, or in a parameter-only entry's sides,
+    is a ValueError naming its z.  The witness is the exact z at which the
+    reported slack was computed.  For unit-circle entries only the radius-1
+    slice is swept; parameter-only entries evaluate once.  An entry with a
+    registry ``tally`` has it applied to each radius's grid, and the counts
+    are summed into the report's ``extra``.
     """
     defn = inst.defn
     radii = check_sweep_options(radii, angles_per_radius, tol_rel)
@@ -763,6 +761,7 @@ def check_inequality(
     if defn.domain == "parameter_only":
         lhs, rhs = evaluate_sides(inst, None)
         slack = _oriented_slack(defn, lhs, rhs)
+        _require_finite(defn, slack, None)
         witness = defn.witness_hint(inst) if defn.witness_hint else None
         samples, radii, angles_per_radius, extra = 1, (), 0, NO_EXTRA
     else:
@@ -801,6 +800,7 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
     z = np.asarray(radii)[:, None] * unit
     lhs, rhs = (side.reshape(z.shape) for side in _sides_at(inst, z.ravel()))
     slack = _oriented_slack(defn, lhs, rhs)
+    _require_finite(defn, slack, z)
     samples = z.size
     extra = {} if defn.tally else NO_EXTRA
     if defn.tally:
@@ -815,11 +815,8 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
     row, col = pick // ZOOM_BRACKETS, top.ravel()[pick]
     flat = ZOOM_FLAT * float(np.maximum(lhs[row[0], col[0]], rhs[row[0], col[0]]))
     # (low, witness) is the lowest slack sampled so far and its z; the
-    # candidates come sorted, NaN last, so the first is the lowest unless a
-    # NaN makes it NaN, and a NaN low never changes.
-    first = slack[row, col]
-    j = int(first.argmin())
-    low, witness = float(first[j]), complex(z[row[j], col[j]])
+    # candidates come sorted, so the first is the lowest.
+    low, witness = float(slack[row[0], col[0]]), complex(z[row[0], col[0]])
     # Each live bracket is [radius, centre, half-width], as Python floats:
     # numpy calls on 5-element arrays cost more than the arithmetic.
     half = 2.0 * np.pi / angles_per_radius
@@ -829,6 +826,7 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
         theta = state[:, 1:2] + state[:, 2:] * _ZOOM_OFFSETS
         z = state[:, :1] * np.exp(1j * theta)
         slack = _oriented_slack(defn, *_sides_at(inst, z.ravel())).reshape(z.shape)
+        _require_finite(defn, slack, z)
         samples += z.size
         fits = []
         best_at = slack.argmin(axis=1).tolist()
@@ -837,7 +835,7 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
                 low, witness = s[i], z.item(k, i)
             bracket[1], bracket[2], gain = _vertex_step(s, i, theta.item(k, i), bracket[2])
             fits.append((s[i], max(s) - s[i], gain))
-        # Written so that a NaN keeps its bracket live.
+        # A NaN gain (no parabola was fitted) does not retire a bracket.
         live = [
             bracket
             for bracket, (best, spread, gain) in zip(live, fits)
@@ -847,6 +845,14 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
             break
 
     return low, witness, samples, extra
+
+
+def _require_finite(defn: InequalityDef, slack: np.ndarray, z) -> None:
+    """Raise ValueError naming the first z, if any, whose slack is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(slack))
+    if len(bad):
+        where = "" if z is None else f" at z = {complex(np.ravel(z)[bad[0]])}"
+        raise ValueError(f"{defn.ineq_id}: slack is not finite{where}")
 
 
 def _vertex_step(s: list, i: int, theta_i: float, half: float) -> tuple[float, float, float]:
@@ -866,7 +872,7 @@ def _vertex_step(s: list, i: int, theta_i: float, half: float) -> tuple[float, f
             u = (a - c) / (2.0 * curv)
             width = min(max(2.0 * abs(u) * h, h / ZOOM_VERTEX_SHRINK), h)
             return theta_i + u * h, width, (a - c) ** 2 / (8.0 * curv)
-    return theta_i, half / ZOOM_SHRINK, math.nan
+    return theta_i, h, math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +893,6 @@ def sharpness_probe(
     spec: PolarSpec,
     a: complex | None = None,
     b: complex | None = None,
-    radii=DEFAULT_RADII,
-    angles_per_radius: int = 512,
 ) -> float:
     """Minimal relative slack of ``def_id`` on a named equality family.
 
@@ -908,4 +912,4 @@ def sharpness_probe(
         )
     poly, roots = extremal_poly_with_roots(family, spec.n, a=a, b=b)
     inst = build_instance(def_id, poly, spec, p_roots=roots)
-    return check_inequality(inst, radii, angles_per_radius).rel_slack
+    return check_inequality(inst).rel_slack

@@ -228,9 +228,7 @@ def verify_winding(p: Polynomial, report: ZeroLocationReport) -> ZeroLocationRep
     return replace(report, verified_by_winding=(count == len(report.roots)))
 
 
-def zero_location_evidence(
-    p: Polynomial, declared_roots=None, max_iterations: int = _MAX_ITERATIONS
-) -> ZeroLocationReport:
+def zero_location_evidence(p: Polynomial, declared_roots=None) -> ZeroLocationReport:
     """Zero-location report, from declared roots when the caller has them.
 
     Declared roots are only trusted after regenerating the coefficients from
@@ -238,7 +236,7 @@ def zero_location_evidence(
     error blowup of iteratively located multiple roots.
     """
     if declared_roots is None:
-        return find_roots(p, max_iterations=max_iterations)
+        return find_roots(p)
     declared = tuple(complex(r) for r in declared_roots)
     if len(declared) != p.degree:
         raise ValueError(

@@ -61,6 +61,16 @@ def test_check_stdout_when_no_out(capsys):
     assert data["pass"] is True
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_check_stdout_honours_format(fmt, tmp_path, capsys):
+    argv = ["check", "--ineq", "E1,LE3", "--trials", "2", "--seed", "5", "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / f"report.{fmt}"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert printed == out.read_text()
+
+
 def test_unknown_id_exit_code(capsys):
     rc = main(["check", "--ineq", "TE9", "--trials", "1"])
     assert rc == 1

@@ -1,5 +1,7 @@
 """Certified circle-extremum tests against closed forms and dense scans."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -406,3 +408,75 @@ def test_large_radius_squares_do_not_overflow(r, kind):
     assert e.certified_error <= 1e-9 * r**3
     t = e.witness_theta
     assert e.value == abs(evaluate(p, r * complex(np.cos(t), np.sin(t))))
+
+
+def times_power_of_two(p, k):
+    return make_poly([complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)) for c in p.coeffs])
+
+
+def suite_like_draws():
+    # Degrees and zero modes as the suite draws them, on the circles of its
+    # Max and Min terms, plus the n = 64 layout of the high-degree test.
+    modes = ("zeros_inside", "zeros_outside_open_disk", "unconstrained")
+    rng = np.random.default_rng(123)
+    for i in range(12):
+        n = int(rng.integers(2, 13))
+        k = float(rng.choice([0.3, 0.5, 0.8, 1.0]))
+        p, _ = random_zeros_poly_with_roots(GenConfig(n=n, k=k, seed=i, mode=modes[i % 3]))
+        yield p, k
+    p, _ = random_zeros_poly_with_roots(GenConfig(n=64, k=1.0, seed=0, mode="zeros_inside"))
+    yield p, 1.0
+
+
+@pytest.mark.parametrize("k", [-900, -500, 0, 500, 900])
+def test_result_scales_with_a_power_of_two_bit_for_bit(k):
+    # Every call certifies P at unit scale, so 2**k P gives 2**k times P's
+    # value and error at the same witness, to the last bit.
+    for p, r in suite_like_draws():
+        for kind in ("max", "min"):
+            want = circle_extremum(p, r, kind)
+            got = circle_extremum(times_power_of_two(p, k), r, kind)
+            assert got.witness_theta == want.witness_theta
+            assert got.value == math.ldexp(want.value, k)
+            assert got.certified_error == math.ldexp(want.certified_error, k)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1.0, 1e60])
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_tiny_and_huge_multiples_certify(c, kind):
+    # |c (1 + z^3)| on |z| = 1.5 runs from 2.375 c to 4.375 c.  At c = 1e-160
+    # and below, |P|**2 underflows unless the call works at unit scale.
+    p = make_poly([c, 0, 0, c])
+    e = circle_extremum(p, 1.5, kind)
+    assert e.value == pytest.approx((4.375 if kind == "max" else 2.375) * c, rel=1e-12)
+    assert e.certified_error <= 1e-9 * 4.375 * c
+    t = e.witness_theta
+    assert e.value == abs(evaluate(p, 1.5 * complex(math.cos(t), math.sin(t))))
+
+
+def test_tiny_min_off_the_grid_certifies():
+    # The min of |1 + 0.3 z + z^3| on |z| = 1 lies between grid angles, and at
+    # 1e-160 times that polynomial the squares that bound it underflowed.
+    unit = circle_extremum(make_poly([1, 0.3, 0, 1]), 1.0, "min")
+    e = circle_extremum(make_poly([1e-160, 0.3e-160, 0, 1e-160]), 1.0, "min")
+    assert e.value == pytest.approx(1e-160 * unit.value, rel=1e-9)
+    assert e.certified_error <= 1e-9 * 2.3e-160
+
+
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_subnormal_polynomial_is_a_value_error(kind):
+    with pytest.raises(ValueError, match="below the normal float range"):
+        circle_extremum(make_poly([1e-310, 0, 0, 1e-310]), 1.5, kind)
+    # 1e300 * 2**-e overflows, as |1e300 z| is 1e-10 on |z| = 1e-310.
+    with pytest.raises(ValueError, match="overflows at unit scale"):
+        circle_extremum(make_poly([1e-300, 1e300]), 1e-310, kind)
+
+
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_tolerance_far_above_a_tiny_polynomial(kind):
+    # eps * 2**-e would overflow; any eps past 2 sum |a_j| r**j prunes the
+    # whole first level, so the call certifies as with that tolerance.
+    p = make_poly([1e-300, 0, 0, 1e-300])
+    e = circle_extremum(p, 1.5, kind, eps=1e10)
+    assert e.certified_error <= 2.0 * 4.375e-300
+    assert abs(e.value - (4.375e-300 if kind == "max" else 2.375e-300)) <= e.certified_error

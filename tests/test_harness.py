@@ -1,7 +1,9 @@
 """Suite orchestration, determinism, serialization, and replay tests."""
 
+import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -16,7 +18,7 @@ from polarineq import (
     rhs_sign_flip,
     run_suite,
 )
-from polarineq import harness
+from polarineq import harness, inequalities
 from polarineq.cli import main
 from polarineq.harness import emit_report, report_to_csv, report_to_json
 
@@ -82,6 +84,14 @@ def test_records_are_slotted_and_share_the_empty_extra():
     with pytest.raises(TypeError):
         e1[0].extra["min_term_sign_counts"] = {}
     assert rep.results[1]["min_term_sign_counts"] == {"neg": 266, "nonneg": 20214}
+
+
+def test_non_finite_sides_are_a_trial_error(monkeypatch):
+    defn = inequalities.REGISTRY["E5"]
+    monkeypatch.setitem(inequalities.REGISTRY, "E5",
+                        dataclasses.replace(defn, sides=lambda inst, z: (1.0, math.nan)))
+    with pytest.raises(TrialError, match=r"E5 seed 3 trial 0: ValueError: E5: slack is not finite"):
+        run_suite(["E5"], 2, seed=3)
 
 
 def test_trial_error_names_the_replay_key(monkeypatch, capsys):

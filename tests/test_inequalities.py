@@ -284,18 +284,43 @@ def test_zoom_stops_once_a_bowl_is_flat():
 
 
 def test_nan_scale_does_not_end_the_zoom():
-    # NaN sides on the grid leave no flatness scale, so the bowl above keeps
-    # its brackets live and runs to the cap.
-    _, levels = _synthetic_sweep(lambda t: 1.0 + 100.0 * t**2, nan_in="grid")
-    assert levels == ZOOM_LEVELS
+    # NaN sides on the grid are an error, not a missing flatness scale.
+    with pytest.raises(ValueError, match=r"E1: slack is not finite at z = "):
+        _synthetic_sweep(lambda t: 1.0 + 100.0 * t**2, nan_in="grid")
 
 
 def test_nan_zoom_samples_keep_brackets_live():
-    # NaN samples have no spread, so no bracket reads flat; the grid's best
-    # slack stands.
-    rep, levels = _synthetic_sweep(lambda t: 1.0 + 100.0 * t**2, nan_in="zoom")
-    assert levels == ZOOM_LEVELS
-    assert rep.min_slack == pytest.approx(1.0 + 100.0 * (2.0 * math.pi / 512 / 3) ** 2)
+    # NaN sides in a zoom level are an error too, not a sample that keeps
+    # the grid's best slack standing.
+    with pytest.raises(ValueError, match=r"E1: slack is not finite at z = "):
+        _synthetic_sweep(lambda t: 1.0 + 100.0 * t**2, nan_in="zoom")
+
+
+def test_nan_arc_is_an_error_not_a_pass():
+    # The right side is NaN on the arc |theta - 1| < 0.05 (8 of 512 grid
+    # angles) and 1 + 0.1 cos(theta) elsewhere.  No grid slack of the arc is
+    # among the zoom's starting candidates, so unchecked it would pass with
+    # min_slack 0.9.  The error names a z on the arc.
+    inst = build_instance("E1", make_poly([1, 0, 0, 1]), PolarSpec(n=3, s=0, k=1.0))
+
+    def sides(inst_, z):
+        t = np.angle(z)
+        rhs = np.where(np.abs(t - 1.0) < 0.05, math.nan, 1.0 + 0.1 * np.cos(t))
+        return np.zeros(np.shape(z)), rhs
+
+    inst.defn = dataclasses.replace(inst.defn, sides=sides)
+    with pytest.raises(ValueError, match=r"slack is not finite at z = ") as excinfo:
+        check_inequality(inst)
+    z = complex(str(excinfo.value).rsplit("z = ", 1)[1])
+    assert abs(np.angle(z) - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("rhs", [math.nan, math.inf])
+def test_non_finite_parameter_only_sides_are_an_error(rhs):
+    inst = build_instance("E5", make_poly([1, 0, 1]), PolarSpec(n=2, s=0, k=1.0))
+    inst.defn = dataclasses.replace(inst.defn, sides=lambda inst_, z: (1.0, rhs))
+    with pytest.raises(ValueError, match=r"E5: slack is not finite"):
+        check_inequality(inst)
 
 
 def test_every_witness_replays_to_its_slack():
