@@ -101,9 +101,11 @@ def dominated_pair_with_roots(
         raise ValueError("dominated pairs require mode zeros_inside")
     f, roots = random_zeros_poly_with_roots(cfg)
     # A certified lower bound on min |F|, so the domination holds however
-    # close another local minimum of |F| comes to the smallest one.
-    least = circle_extremum(f, cfg.k, "min", eps=1e-9 * modulus_bound(f, cfg.k))
-    m_f = max(least.value - least.certified_error, 0.0)
+    # close another local minimum of |F| comes to the smallest one.  It is
+    # the value less the tolerance asked for, which bounds the certified
+    # error, so P does not depend on where the certifier stopped.
+    eps = 1e-9 * modulus_bound(f, cfg.k)
+    m_f = max(circle_extremum(f, cfg.k, "min", eps=eps).value - eps, 0.0)
     monomial = make_poly([0j] * cfg.n + [1.0 + 0j])
     g2 = complex(gamma2)
     for _ in range(16):

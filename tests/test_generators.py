@@ -1,5 +1,7 @@
 """Generator determinism, hypothesis compliance, and extremal families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from polarineq import (
     poly_to_json,
     random_zeros_poly_with_roots,
 )
+from polarineq import generators
 
 
 def test_inside_mode_containment():
@@ -90,6 +93,24 @@ def test_dominated_pair_random_mix():
     ring = 0.5 * np.exp(1j * theta)
     pa, fa = np.abs(evaluate(p, ring)), np.abs(evaluate(f, ring))
     assert np.all(pa <= fa + 1e-9 * fa.max())
+
+
+def test_dominated_pair_ignores_where_the_certifier_stopped(monkeypatch):
+    # Two certificates of the same minimum, with different certified errors
+    # within the tolerance, must give the same P bit for bit.
+    cfg = GenConfig(n=6, k=0.8, seed=9, mode="zeros_inside")
+    real = generators.circle_extremum
+    pairs = []
+    for share in (0.05, 0.9):
+
+        def stub(p, r, kind, eps=None, share=share):
+            got = real(p, r, kind, eps=eps)
+            return dataclasses.replace(got, certified_error=share * eps)
+
+        monkeypatch.setattr(generators, "circle_extremum", stub)
+        pairs.append(dominated_pair_with_roots(cfg, 0.55, 0.25j))
+    assert pairs[0][0].coeffs == pairs[1][0].coeffs
+    assert pairs[0][1].coeffs == pairs[1][1].coeffs
 
 
 def test_dominated_pair_rejects_large_gammas():

@@ -69,10 +69,10 @@ def test_report_bytes_pinned():
     # the old and new hashes in CHANGES.md and updates them here.
     rep = run_suite(list(INEQUALITY_IDS), 1, seed=42)
     assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == (
-        "450ba39842e8e6cb5c238872a7c7245b607593a0b22a313f6cc7f9de7a4606ed"
+        "70c17eed40a0f4dafd09efa9a81e7702d8f8fb96d20c279389f808f2d7a12abe"
     )
     assert hashlib.sha256(report_to_csv(rep).encode()).hexdigest() == (
-        "8b301a33b436bb7c3d18a6d4abd814e3f53627350fb63100c3acb995a0ab3e17"
+        "9854c812040fa6ddb810881e042a1416356aa7274e02ae64dae1f35ff44cce03"
     )
 
 
