@@ -750,7 +750,8 @@ def check_inequality(
     lowest slack sampled so far (it cannot overtake).  A NaN or infinite
     slack in any grid or zoom sample, or in a parameter-only entry's sides,
     is a ValueError naming its z.  The witness is the exact z at which the
-    reported slack was computed.  For unit-circle entries only the radius-1
+    reported slack was computed, and ``scale`` is ``max(lhs, rhs)`` from that
+    same side evaluation.  For unit-circle entries only the radius-1
     slice is swept; parameter-only entries evaluate once.  An entry with a
     registry ``tally`` has it applied to each radius's grid, and the counts
     are summed into the report's ``extra``.
@@ -766,8 +767,7 @@ def check_inequality(
         samples, radii, angles_per_radius, extra = 1, (), 0, NO_EXTRA
     else:
         radii = (1.0,) if defn.domain == "unit_circle" else radii
-        slack, witness, samples, extra = _sweep(inst, radii, angles_per_radius)
-        lhs, rhs = evaluate_sides(inst, witness)
+        slack, witness, lhs, rhs, samples, extra = _sweep(inst, radii, angles_per_radius)
     scale = max(lhs, rhs)
     return InequalityReport(
         def_id=defn.ineq_id,
@@ -794,7 +794,11 @@ def _grid(angles_per_radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius: int):
-    """The grid and zoom of ``check_inequality``: (slack, witness, samples, extra)."""
+    """The grid and zoom of ``check_inequality``.
+
+    Returns (slack, witness, lhs, rhs, samples, extra), where ``lhs`` and
+    ``rhs`` are the sides computed with the lowest slack, at the witness.
+    """
     defn = inst.defn
     theta, unit = _grid(angles_per_radius)
     z = np.asarray(radii)[:, None] * unit
@@ -814,9 +818,11 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
     pick = np.argsort(slack[rows, top].ravel(), kind="stable")[:ZOOM_BRACKETS]
     row, col = pick // ZOOM_BRACKETS, top.ravel()[pick]
     flat = ZOOM_FLAT * float(np.maximum(lhs[row[0], col[0]], rhs[row[0], col[0]]))
-    # (low, witness) is the lowest slack sampled so far and its z; the
-    # candidates come sorted, so the first is the lowest.
+    # (low, witness) is the lowest slack sampled so far and its z, and
+    # ``at`` the sides there; the candidates come sorted, so the first is
+    # the lowest.
     low, witness = float(slack[row[0], col[0]]), complex(z[row[0], col[0]])
+    at = lhs.item(row[0], col[0]), rhs.item(row[0], col[0])
     # Each live bracket is [radius, centre, half-width], as Python floats:
     # numpy calls on 5-element arrays cost more than the arithmetic.
     half = 2.0 * np.pi / angles_per_radius
@@ -825,7 +831,8 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
         state = np.array(live)
         theta = state[:, 1:2] + state[:, 2:] * _ZOOM_OFFSETS
         z = state[:, :1] * np.exp(1j * theta)
-        slack = _oriented_slack(defn, *_sides_at(inst, z.ravel())).reshape(z.shape)
+        lhs, rhs = (side.reshape(z.shape) for side in _sides_at(inst, z.ravel()))
+        slack = _oriented_slack(defn, lhs, rhs)
         _require_finite(defn, slack, z)
         samples += z.size
         fits = []
@@ -833,6 +840,7 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
         for k, (bracket, s, i) in enumerate(zip(live, slack.tolist(), best_at)):
             if s[i] < low:
                 low, witness = s[i], z.item(k, i)
+                at = lhs.item(k, i), rhs.item(k, i)
             bracket[1], bracket[2], gain = _vertex_step(s, i, theta.item(k, i), bracket[2])
             fits.append((s[i], max(s) - s[i], gain))
         # A NaN gain (no parabola was fitted) does not retire a bracket.
@@ -844,7 +852,7 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
         if not live:
             break
 
-    return low, witness, samples, extra
+    return low, witness, *at, samples, extra
 
 
 def _require_finite(defn: InequalityDef, slack: np.ndarray, z) -> None:
