@@ -45,12 +45,12 @@ at its two ends:
   aiming at about 1024 new angles per level, never fewer than 2 parts) and
   evaluates all the new angles in one batched ``poly.evaluate`` pass.
 - The global ``L2`` does not shrink with min |P|, so near a deep minimum
-  it keeps thousands of brackets alive.  A min frontier of more than
-  ``_CHORD_FRONTIER`` brackets also gets the chord bound: |P| is at least
-  the distance from 0 to the chord between a bracket's end values, less
-  ``rho`` and ``M2 * width**2 / 8`` with ``M2 = sum j**2 |a_j| r**j`` (the
-  interpolation error of a chord, which holds for complex-valued
-  functions).  Smaller frontiers, and every max call, use the moduli alone.
+  it would keep thousands of brackets alive.  Each min bracket also takes
+  the chord bound: |P| is at least the distance from 0 to the chord
+  between a bracket's end values, less ``rho`` and ``M2 * width**2 / 8``
+  with ``M2 = sum j**2 |a_j| r**j`` (the interpolation error of a chord,
+  which holds for complex-valued functions).  Max calls use the moduli
+  alone.
 - When the frontier is empty, the worst pruned bound certifies the
   incumbent.  An incumbent that a level sample set, rather than the first
   polish, is polished the same way.
@@ -81,7 +81,6 @@ _BUDGET = 2**22  # evaluated points per call; a level adds at most _BUDGET // 8
 _BLOCK = 2**14
 _MAX_SPLIT = 32  # most parts one bracket is cut into
 _LEVEL_POINTS = 1024  # new points per level that the split aims at
-_CHORD_FRONTIER = 4096  # a min frontier past this many brackets gets chord bounds
 _POLISH_STEPS = 8
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -182,13 +181,12 @@ class _Certifier:
         ends are within ``rho`` of P.  A chord that is a point or has a NaN
         end gives NaN, which ``np.fmax`` passes over.
         """
-        with np.errstate(all="ignore"):
-            d = v_hi - v_lo
-            dd = d.real**2 + d.imag**2
-            t = np.divide(-(v_lo.real * d.real + v_lo.imag * d.imag), dd,
-                          out=np.full(dd.shape, np.nan), where=np.isfinite(dd) & (dd > 0))
-            dist = np.abs(v_lo + np.clip(t, 0.0, 1.0) * d)
-            return dist - self.rho - self.m2 * width**2 / 8.0
+        d = v_hi - v_lo
+        dd = d.real**2 + d.imag**2
+        t = np.divide(-(v_lo.real * d.real + v_lo.imag * d.imag), dd,
+                      out=np.full(dd.shape, np.nan), where=dd > 0)
+        dist = np.abs(v_lo + np.clip(t, 0.0, 1.0) * d)
+        return dist - self.rho - self.m2 * width**2 / 8.0
 
 
 def _wrap(theta: float) -> float:
@@ -299,18 +297,16 @@ def circle_extremum(
     used = cert.grid
     while True:
         # A bound on |P| over each bracket: its better end modulus, within rho
-        # of |P|, and the stationary slack of |P|**2 for its width.  A large
-        # min frontier also takes the chord bound, and a bracket inside the
-        # basin the basin's bound, when that is tighter.
+        # of |P|, and the stationary slack of |P|**2 for its width.  A min
+        # bracket also takes the chord bound, and a bracket inside the basin
+        # the basin's bound, when that is tighter.
         slack = cert.stationary_slack(width)
         m_lo, m_hi = np.abs(v_lo), np.abs(v_hi)
         if maximize:
             bound = np.sqrt(np.maximum(m_lo, m_hi) ** 2 + slack) + rho
         else:
             low = np.maximum(np.minimum(m_lo, m_hi) - rho, 0.0) ** 2 - slack
-            bound = np.sqrt(np.fmax(low, 0.0))
-            if len(left) > _CHORD_FRONTIER:
-                bound = np.fmax(bound, cert.chord_bound(v_lo, v_hi, width))
+            bound = np.fmax(np.sqrt(np.fmax(low, 0.0)), cert.chord_bound(v_lo, v_hi, width))
         if basin is not None:
             # ``left`` is sorted, so the brackets wholly on the arc, or on
             # its copies 2 pi away, are contiguous runs.

@@ -13,7 +13,7 @@ from polarineq import (
     make_poly,
     poly_from_roots,
 )
-from polarineq import extrema
+from polarineq import extrema, generators, inequalities
 from polarineq.extrema import _BLOCK, _abs_sq_fourier, _vector_eval
 from polarineq.generators import GenConfig, random_zeros_poly_with_roots, rng_stream
 from polarineq.harness import regenerate_instance
@@ -288,6 +288,34 @@ def test_ce5_seed_1050_levels_stay_small(monkeypatch):
     assert max(sizes) < 2**19 // 4
 
 
+def test_deep_minima_end_within_five_levels(monkeypatch):
+    # Near a small minimum the global L2 slack alone kept these frontiers
+    # alive: TE1 seed 5010 trial 1's dominated-pair min |F| on |z| = 1 took
+    # 11 levels, and CE5 seed 5046 trial 1's min |P| on |z| = 0.8 took 9.
+    calls = []
+    real_eval, real_extremum = extrema._vector_eval, extrema.circle_extremum
+
+    def counted_eval(p, r, theta):
+        calls[-1][-1] += 1
+        return real_eval(p, r, theta)
+
+    def recorded(where):
+        def extremum(p, r, kind, eps=None):
+            calls.append([where, kind, r, 0])
+            return real_extremum(p, r, kind, eps=eps)
+        return extremum
+
+    monkeypatch.setattr(extrema, "_vector_eval", counted_eval)
+    monkeypatch.setattr(generators, "circle_extremum", recorded("pair"))
+    monkeypatch.setattr(inequalities, "circle_extremum", recorded("instance"))
+    for ineq_id, seed, call in (("TE1", 5010, ["pair", "min", 1.0]),
+                                ("CE5", 5046, ["instance", "min", 0.8])):
+        calls.clear()
+        check_inequality(regenerate_instance(ineq_id, seed, 1))
+        levels = [c[-1] for c in calls if c[:-1] == call]
+        assert levels and max(levels) <= 5, (ineq_id, levels)
+
+
 def test_chord_bound_is_below_the_bracket_minimum():
     # P(z) = z on |z| = 1: |P| = 1 on every bracket.
     cert = extrema._Certifier(make_poly([0, 1]), 1.0)
@@ -302,22 +330,23 @@ def test_chord_bound_is_below_the_bracket_minimum():
 
 
 def test_nan_chord_bound_prunes_no_bracket(monkeypatch):
-    # This draw's min frontier passes the chord switch.  With every chord
-    # bound NaN the call must prune as it does with moduli alone.
+    # With every chord bound NaN a min call must prune level by level as it
+    # does with the moduli alone, which a chord bound of -inf leaves.
     p, _ = random_zeros_poly_with_roots(GenConfig(n=10, k=1.0, seed=24, mode="zeros_inside"))
-    levels = []
+    runs = []
+    for fill in (np.nan, -np.inf):
+        frontiers = []
 
-    def nan_bound(self, v_lo, v_hi, width):
-        levels.append(len(v_lo))
-        return np.full(v_lo.shape, np.nan)
+        def stub(self, v_lo, v_hi, width, fill=fill, frontiers=frontiers):
+            frontiers.append(len(v_lo))
+            return np.full(v_lo.shape, fill)
 
-    monkeypatch.setattr(extrema._Certifier, "chord_bound", nan_bound)
-    got = circle_extremum(p, 1.0, "min")
-    assert levels
-    monkeypatch.setattr(extrema, "_CHORD_FRONTIER", 2**62)
-    want = circle_extremum(p, 1.0, "min")
-    assert got.value == pytest.approx(want.value, rel=1e-12)
-    assert got.certified_error == pytest.approx(want.certified_error, rel=1e-6)
+        monkeypatch.setattr(extrema._Certifier, "chord_bound", stub)
+        runs.append((circle_extremum(p, 1.0, "min"), frontiers))
+    (got, nan_frontiers), (want, moduli_frontiers) = runs
+    assert len(nan_frontiers) > 1
+    assert nan_frontiers == moduli_frontiers
+    assert got == want
     assert_certified_min(p, got)
 
 
