@@ -131,7 +131,7 @@ def _newton(tables, z: np.ndarray, n: int, j0: int):
     return num, den, berr, resid
 
 
-def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLocationReport:
+def find_roots(p: Polynomial) -> ZeroLocationReport:
     """All ``degree`` roots with multiplicity, by Aberth iteration."""
     n = p.degree
     if n < 1:
@@ -149,7 +149,7 @@ def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLoca
         z = _newton_polygon_start(q.coeffs)
         num, den, berr, resid = _newton(tables, z, n, j0)
         met = np.zeros(m, dtype=bool)
-        for _ in range(max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             # An iterate is frozen once it meets the test twice running: the
             # step after the first time takes it from the edge of the
             # pseudo-zero set to the rounding floor.  NaN never meets it.
@@ -171,7 +171,7 @@ def find_roots(p: Polynomial, max_iterations: int = _MAX_ITERATIONS) -> ZeroLoca
 
     if not np.all(berr <= tol):
         raise RootConvergenceError(
-            f"root finder did not converge within {max_iterations} iterations",
+            f"root finder did not converge within {_MAX_ITERATIONS} iterations",
             z.tolist(),
             resid.tolist(),
         )

@@ -64,10 +64,11 @@ def test_find_roots_rejects_constants():
         find_roots(make_poly([3]))
 
 
-def test_find_roots_nonconvergence_carries_iterates():
+def test_find_roots_nonconvergence_carries_iterates(monkeypatch):
     p = poly_from_roots(planted(9, 10), 1)
+    monkeypatch.setattr(roots_module, "_MAX_ITERATIONS", 1)
     with pytest.raises(RootConvergenceError) as excinfo:
-        find_roots(p, max_iterations=1)
+        find_roots(p)
     assert len(excinfo.value.roots) == 10
     assert len(excinfo.value.residuals) == 10
 
