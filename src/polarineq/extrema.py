@@ -49,8 +49,7 @@ at its two ends:
   the chord bound: |P| is at least the distance from 0 to the chord
   between a bracket's end values, less ``rho`` and ``M2 * width**2 / 8``
   with ``M2 = sum j**2 |a_j| r**j`` (the interpolation error of a chord,
-  which holds for complex-valued functions).  Max calls use the moduli
-  alone.
+  which holds for complex-valued functions); max calls use moduli alone.
 - When the frontier is empty, the worst pruned bound certifies the
   incumbent.  An incumbent that a level sample set, rather than the first
   polish, is polished the same way.

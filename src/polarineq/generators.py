@@ -100,10 +100,9 @@ def dominated_pair_with_roots(
     if cfg.mode != "zeros_inside":
         raise ValueError("dominated pairs require mode zeros_inside")
     f, roots = random_zeros_poly_with_roots(cfg)
-    # A certified lower bound on min |F|, so the domination holds however
-    # close another local minimum of |F| comes to the smallest one.  It is
-    # the value less the tolerance asked for, which bounds the certified
-    # error, so P does not depend on where the certifier stopped.
+    # The value less the tolerance is a certified lower bound on min |F|,
+    # however close another local minimum comes, and unlike the certified
+    # error it does not depend on where the certifier stopped.
     eps = 1e-9 * modulus_bound(f, cfg.k)
     m_f = max(circle_extremum(f, cfg.k, "min", eps=eps).value - eps, 0.0)
     monomial = make_poly([0j] * cfg.n + [1.0 + 0j])

@@ -750,8 +750,7 @@ def check_inequality(
     lowest slack sampled so far (it cannot overtake).  A NaN or infinite
     slack in any grid or zoom sample, or in a parameter-only entry's sides,
     is a ValueError naming its z.  The witness is the exact z at which the
-    reported slack was computed, and ``scale`` is ``max(lhs, rhs)`` from that
-    same side evaluation.  For unit-circle entries only the radius-1
+    reported slack was computed.  For unit-circle entries only the radius-1
     slice is swept; parameter-only entries evaluate once.  An entry with a
     registry ``tally`` has it applied to each radius's grid, and the counts
     are summed into the report's ``extra``.
@@ -794,11 +793,7 @@ def _grid(angles_per_radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius: int):
-    """The grid and zoom of ``check_inequality``.
-
-    Returns (slack, witness, lhs, rhs, samples, extra), where ``lhs`` and
-    ``rhs`` are the sides computed with the lowest slack, at the witness.
-    """
+    """The grid and zoom of ``check_inequality``: (slack, witness, lhs, rhs, samples, extra)."""
     defn = inst.defn
     theta, unit = _grid(angles_per_radius)
     z = np.asarray(radii)[:, None] * unit
@@ -818,9 +813,8 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
     pick = np.argsort(slack[rows, top].ravel(), kind="stable")[:ZOOM_BRACKETS]
     row, col = pick // ZOOM_BRACKETS, top.ravel()[pick]
     flat = ZOOM_FLAT * float(np.maximum(lhs[row[0], col[0]], rhs[row[0], col[0]]))
-    # (low, witness) is the lowest slack sampled so far and its z, and
-    # ``at`` the sides there; the candidates come sorted, so the first is
-    # the lowest.
+    # (low, witness) and ``at`` are the lowest slack sampled so far, its z and
+    # its (lhs, rhs); the candidates come sorted, so the first is the lowest.
     low, witness = float(slack[row[0], col[0]]), complex(z[row[0], col[0]])
     at = lhs.item(row[0], col[0]), rhs.item(row[0], col[0])
     # Each live bracket is [radius, centre, half-width], as Python floats:
