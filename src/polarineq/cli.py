@@ -13,6 +13,7 @@ import dataclasses
 import sys
 
 from .extrema import circle_extremum
+from .generators import EXTREMAL_FAMILIES
 from .harness import (
     UsageError,
     _stable_dumps,
@@ -74,8 +75,7 @@ def _build_parser() -> _Parser:
 
     sharp = sub.add_parser("sharpness", help="probe an equality family")
     sharp.add_argument("--ineq", required=True)
-    sharp.add_argument("--family", required=True,
-                       choices=("power", "erdos_lax", "turan", "half"))
+    sharp.add_argument("--family", required=True, choices=EXTREMAL_FAMILIES)
     sharp.add_argument("--n", type=int, required=True)
     sharp.add_argument("--alpha", type=float, default=None)
     sharp.add_argument("--k", type=float, default=1.0)

@@ -21,6 +21,7 @@ from .poly import Polynomial, add, make_poly, modulus_bound, poly_from_roots, sc
 __all__ = [
     "GenConfig",
     "MODES",
+    "EXTREMAL_FAMILIES",
     "rng_stream",
     "random_zeros_poly_with_roots",
     "dominated_pair_with_roots",
@@ -28,6 +29,9 @@ __all__ = [
 ]
 
 MODES = ("zeros_inside", "zeros_outside_open_disk", "unconstrained")
+# The equality families of ``extremal_poly_with_roots``; registry entries
+# name theirs in ``InequalityDef.extremal``.
+EXTREMAL_FAMILIES = ("power", "erdos_lax", "turan", "half")
 INSIDE_MARGIN = 1e-6
 BOUNDARY_PROB = 0.1
 
@@ -93,10 +97,13 @@ def dominated_pair_with_roots(
     F has all zeros inside |z| <= k; P = g1*F + g2*(min|F| / k^n)*z^n, which
     is dominated because |P| <= |g1||F| + |g2|*min|F| <= (|g1|+|g2|)*|F| on
     the circle.  The direct construction beats rejection sampling, whose
-    acceptance rate vanishes at moderate degree.
+    acceptance rate vanishes at moderate degree.  A mix whose leading
+    coefficient cancels exactly is a ValueError.
     """
     if abs(gamma1) + abs(gamma2) > 1.0:
         raise ValueError("|gamma1| + |gamma2| must be at most 1")
+    if gamma1 == 0 and gamma2 == 0:
+        raise ValueError("gamma1 and gamma2 cannot both vanish")
     if cfg.mode != "zeros_inside":
         raise ValueError("dominated pairs require mode zeros_inside")
     f, roots = random_zeros_poly_with_roots(cfg)
@@ -106,16 +113,13 @@ def dominated_pair_with_roots(
     eps = 1e-9 * modulus_bound(f, cfg.k)
     m_f = max(circle_extremum(f, cfg.k, "min", eps=eps).value - eps, 0.0)
     monomial = make_poly([0j] * cfg.n + [1.0 + 0j])
-    g2 = complex(gamma2)
-    for _ in range(16):
-        p = add(scale(f, gamma1), scale(monomial, g2 * m_f / cfg.k**cfg.n))
-        if p.degree == cfg.n:
-            return p, f, roots
-        if gamma1 == 0 and g2 == 0:
-            raise ValueError("gamma1 and gamma2 cannot both vanish")
-        # leading coefficient cancelled exactly; nudge the mix and retry
-        g2 = g2 * complex(np.exp(0.1j)) if g2 != 0 else 1e-3 + 0j
-    raise RuntimeError("could not build an exact-degree dominated pair")
+    p = add(scale(f, gamma1), scale(monomial, complex(gamma2) * m_f / cfg.k**cfg.n))
+    if p.degree != cfg.n:
+        raise ValueError(
+            f"P has degree {p.degree}, not {cfg.n}: its leading coefficient cancels "
+            f"at gamma1 = {gamma1}, gamma2 = {gamma2}"
+        )
+    return p, f, roots
 
 
 def extremal_poly_with_roots(
@@ -130,6 +134,8 @@ def extremal_poly_with_roots(
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
+    if family not in EXTREMAL_FAMILIES:
+        raise ValueError(f"unknown extremal family {family!r}")
     if family == "power":
         lead = 1.0 + 0j if a is None else complex(a)
         if lead == 0:
@@ -150,10 +156,9 @@ def extremal_poly_with_roots(
         return make_poly([bc] + [0j] * (n - 1) + [ac]), roots
     if family == "turan":
         return poly_from_roots([-1.0 + 0j] * n, 1.0), (-1.0 + 0j,) * n
-    if family == "half":
-        roots = tuple(
-            complex(math.cos(math.pi * (2 * j + 1) / n), math.sin(math.pi * (2 * j + 1) / n))
-            for j in range(n)
-        )
-        return make_poly([0.5 + 0j] + [0j] * (n - 1) + [0.5 + 0j]), roots
-    raise ValueError(f"unknown extremal family {family!r}")
+    # half
+    roots = tuple(
+        complex(math.cos(math.pi * (2 * j + 1) / n), math.sin(math.pi * (2 * j + 1) / n))
+        for j in range(n)
+    )
+    return make_poly([0.5 + 0j] + [0j] * (n - 1) + [0.5 + 0j]), roots

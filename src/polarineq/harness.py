@@ -34,7 +34,6 @@ from .inequalities import (
     REGISTRY,
     InequalityInstance,
     _oriented_slack,
-    add_counts,
     build_instance,
     check_inequality,
     check_sweep_options,
@@ -240,6 +239,14 @@ def _replay_key(rec: TrialRecord) -> dict:
         "beta": rec.beta,
         "z": rec.witness_z,
     }
+
+
+def add_counts(total: dict, part: dict) -> None:
+    """Add the ``{key: {name: count}}`` tallies of ``part`` into ``total``."""
+    for key, counts in part.items():
+        into = total.setdefault(key, {})
+        for name, count in counts.items():
+            into[name] = into.get(name, 0) + count
 
 
 # ---------------------------------------------------------------------------

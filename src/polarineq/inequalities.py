@@ -131,12 +131,17 @@ class InequalityDef:
 
     ``direction`` is "upper" (lhs <= rhs) or "lower" (lhs >= rhs);
     ``domain`` is "outside_unit_disk", "unit_circle", or "parameter_only"
-    (no z dependence).  ``zero_mode`` names the zero-location hypothesis of
-    the subject polynomial ("inside" / "outside" / "none"); for paired
-    entries it applies to F while P is constrained by domination on |z| = k.
-    ``tally(inst, z)``, when set, counts something about one radius's grid
-    as ``{key: {name: count}}``; the counts are summed into the report's
-    ``extra`` and, across trials, into the suite results.
+    (no z dependence).  ``sides(inst, z)`` takes ``z`` as an array of any
+    shape (a point, the sweep's radii x angles grid, a zoom level's brackets
+    x samples) and returns sides shaped like it; a parameter-only entry gets
+    ``z = None``.  ``zero_mode`` names the zero-location hypothesis of the
+    subject polynomial ("inside" / "outside" / "none"); for paired entries it
+    applies to F while P is constrained by domination on |z| = k.
+    ``tally(inst, z)``, when set, counts something about the whole sweep
+    grid as ``{key: {name: count}}``; the counts become the report's
+    ``extra`` and, summed across trials, go into the suite results.
+    ``extremal`` names the equality families of
+    ``generators.EXTREMAL_FAMILIES`` that ``sharpness_probe`` may run on it.
     """
 
     ineq_id: str
@@ -152,14 +157,7 @@ class InequalityDef:
     fixed_s: Optional[int] = None  # 0: entry has no chain/derivative order
     witness_hint: Optional[Callable] = None
     tally: Optional[Callable] = None
-
-
-def add_counts(total: dict, part: dict) -> None:
-    """Add the ``{key: {name: count}}`` tallies of ``part`` into ``total``."""
-    for key, counts in part.items():
-        into = total.setdefault(key, {})
-        for name, count in counts.items():
-            into[name] = into.get(name, 0) + count
+    extremal: tuple[str, ...] = ()
 
 
 class InequalityInstance:
@@ -324,13 +322,16 @@ def _sides_ae(inst, z):
     return lhs, rhs
 
 
+def _max_min_bracket(inst, a, b, radius):
+    # (n_s/2){(a+b) Max - (a-b) Min} on |z| = radius: the right side of the
+    # refined bounds AWE, TE3/CE11, CE7/CE8 and CE9.
+    return inst.ns / 2.0 * ((a + b) * inst.max_p(radius) - (a - b) * inst.min_p(radius))
+
+
 def _sides_awe(inst, z):
     lhs = _abs_eval(inst.chain_p, z)
     grow = np.abs(inst.alpha_prod) * np.abs(z) ** (inst.spec.n - inst.spec.s)
-    rhs = inst.ns / 2.0 * (
-        (grow + 1.0) * inst.max_p(1.0) - (grow - 1.0) * inst.min_p(1.0)
-    )
-    return lhs, rhs
+    return lhs, _max_min_bracket(inst, grow, 1.0, 1.0)
 
 
 def _sides_te1(inst, z):
@@ -369,10 +370,7 @@ def _sides_te2(inst, z):
 def _sides_te3(inst, z):
     lhs = _abs_eval(inst.combo_p, z)
     t1, t2 = _chain_brackets(inst, z)
-    rhs = inst.ns / 2.0 * (
-        (t1 + t2) * inst.max_p(inst.spec.k) - (t1 - t2) * inst.min_p(inst.spec.k)
-    )
-    return lhs, rhs
+    return lhs, _max_min_bracket(inst, t1, t2, inst.spec.k)
 
 
 def _tally_min_term_signs(inst, z):
@@ -388,11 +386,7 @@ def _sides_ce7(inst, z):
     u1 = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(
         inst.alpha_prod + inst.cb
     )
-    u2 = abs(inst.cb)
-    rhs = inst.ns / 2.0 * (
-        (u1 + u2) * inst.max_p(inst.spec.k) - (u1 - u2) * inst.min_p(inst.spec.k)
-    )
-    return lhs, rhs
+    return lhs, _max_min_bracket(inst, u1, abs(inst.cb), inst.spec.k)
 
 
 def _sides_ce9(inst, z):
@@ -400,10 +394,7 @@ def _sides_ce9(inst, z):
     v = np.abs(z) ** (inst.spec.n - inst.spec.s) / inst.spec.k ** inst.spec.n * abs(
         inst.alpha_prod
     )
-    rhs = inst.ns / 2.0 * (
-        (v + 1.0) * inst.max_p(inst.spec.k) - (v - 1.0) * inst.min_p(inst.spec.k)
-    )
-    return lhs, rhs
+    return lhs, _max_min_bracket(inst, v, 1.0, inst.spec.k)
 
 
 def _sides_ce10(inst, z):
@@ -452,16 +443,17 @@ def _witness_dp_max(inst):
 _DEFS = [
     InequalityDef(
         "E1", "max |P'| <= n max |P| on |z|=1", "upper", "unit_circle",
-        _sides_e1, k_regime="any", fixed_s=0,
+        _sides_e1, k_regime="any", fixed_s=0, extremal=("power",),
     ),
     InequalityDef(
         "E2", "P != 0 in |z|<1: max |P'| <= (n/2) max |P| on |z|=1", "upper",
         "unit_circle", _sides_e4, zero_mode="outside", k_regime="unit", fixed_s=0,
+        extremal=("erdos_lax",),
     ),
     InequalityDef(
         "E3", "all zeros in |z|<=1: max |P'| >= (n/2) max |P|", "lower",
         "parameter_only", _sides_e5, zero_mode="inside", k_regime="unit",
-        fixed_s=0, witness_hint=_witness_dp_max,
+        fixed_s=0, witness_hint=_witness_dp_max, extremal=("turan",),
     ),
     InequalityDef(
         "E4", "P != 0 in |z|<k, k>=1: max |P'| <= n/(1+k) max |P| on |z|=1",
@@ -471,17 +463,17 @@ _DEFS = [
     InequalityDef(
         "E5", "all zeros in |z|<=k, k<=1: max |P'| >= n/(1+k) max |P|", "lower",
         "parameter_only", _sides_e5, zero_mode="inside", fixed_s=0,
-        witness_hint=_witness_dp_max,
+        witness_hint=_witness_dp_max, extremal=("turan",),
     ),
     InequalityDef(
         "AE", "iterated polar derivative bound (|z|>=1, unit critical radius)",
         "upper", "outside_unit_disk", _sides_ae, zero_mode="outside",
-        k_regime="unit", needs_alphas=True,
+        k_regime="unit", needs_alphas=True, extremal=("half",),
     ),
     InequalityDef(
         "AWE", "AE refined by the subtracted minimum term", "upper",
         "outside_unit_disk", _sides_awe, zero_mode="outside", k_regime="unit",
-        needs_alphas=True,
+        needs_alphas=True, extremal=("half",),
     ),
     InequalityDef(
         "TE1", "dominated-pair chain comparison |combo(P)| <= |combo(F)|",
@@ -683,23 +675,43 @@ def _oriented_slack(defn: InequalityDef, lhs, rhs):
     return rhs - lhs if defn.direction == "upper" else lhs - rhs
 
 
+def _sides(inst: InequalityInstance, z) -> tuple[np.ndarray, np.ndarray]:
+    """``inst``'s two sides as float arrays shaped like ``z`` (0-d for ``None``)."""
+    lhs, rhs = inst.defn.sides(inst, z)
+    return np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+
+
+def _slack(inst: InequalityInstance, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(slack, lhs, rhs) at ``z``; ValueError naming the first z whose slack is not finite."""
+    lhs, rhs = _sides(inst, z)
+    slack = _oriented_slack(inst.defn, lhs, rhs)
+    bad = np.flatnonzero(~np.isfinite(slack))
+    if len(bad):
+        where = "" if z is None else f" at z = {complex(z.flat[bad[0]])}"
+        raise ValueError(f"{inst.defn.ineq_id}: slack is not finite{where}")
+    return slack, lhs, rhs
+
+
 def evaluate_sides(inst: InequalityInstance, z: complex) -> tuple[float, float]:
-    """Both sides at one point, as nonnegative reals."""
+    """Both sides at one point, as nonnegative reals.
+
+    The point goes to the sides as a one-element array, so it takes the same
+    ``horner`` pass as a grid point.
+    """
     defn = inst.defn
-    if defn.domain == "parameter_only":
-        lhs, rhs = defn.sides(inst, None)
-        return float(lhs), float(rhs)
-    zc = complex(z)
-    mod = abs(zc)
-    if mod > Z_MODULUS_LIMIT:
-        raise ValueError(f"|z| = {mod} too large (limit {Z_MODULUS_LIMIT})")
-    if defn.domain == "outside_unit_disk" and mod < 1.0 - 1e-9:
-        raise ValueError(f"|z| = {mod} outside the domain |z| >= 1")
-    if defn.domain == "unit_circle" and abs(mod - 1.0) > 1e-6:
-        raise ValueError(f"|z| = {mod} outside the domain |z| = 1")
-    arr = np.asarray([zc])
-    lhs, rhs = defn.sides(inst, arr)
-    return float(np.asarray(lhs).reshape(-1)[0]), float(np.asarray(rhs).reshape(-1)[0])
+    point = None
+    if defn.domain != "parameter_only":
+        zc = complex(z)
+        mod = abs(zc)
+        if mod > Z_MODULUS_LIMIT:
+            raise ValueError(f"|z| = {mod} too large (limit {Z_MODULUS_LIMIT})")
+        if defn.domain == "outside_unit_disk" and mod < 1.0 - 1e-9:
+            raise ValueError(f"|z| = {mod} outside the domain |z| >= 1")
+        if defn.domain == "unit_circle" and abs(mod - 1.0) > 1e-6:
+            raise ValueError(f"|z| = {mod} outside the domain |z| = 1")
+        point = np.asarray([zc])
+    lhs, rhs = _sides(inst, point)
+    return lhs.item(), rhs.item()
 
 
 def check_sweep_options(radii, angles_per_radius: int, tol_rel: float) -> tuple[float, ...]:
@@ -720,11 +732,6 @@ def check_sweep_options(radii, angles_per_radius: int, tol_rel: float) -> tuple[
     return out
 
 
-def _sides_at(inst: InequalityInstance, z) -> tuple[np.ndarray, np.ndarray]:
-    lhs, rhs = inst.defn.sides(inst, z)
-    return np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-
-
 def check_inequality(
     inst: InequalityInstance,
     radii=DEFAULT_RADII,
@@ -733,11 +740,13 @@ def check_inequality(
 ) -> InequalityReport:
     """Sweep z over the def's domain and report the minimal oriented slack.
 
-    Each radius gets a grid of ``angles_per_radius`` angles, one batched side
-    evaluation for all radii.  The ``ZOOM_BRACKETS`` smallest grid slacks
-    then each start a bracket of +- one grid spacing, and the zoom runs at
-    most ``ZOOM_LEVELS`` levels.  Each level samples every live bracket at
-    ``ZOOM_POINTS`` angles in one batched side evaluation.  Where the best
+    Each radius gets a grid of ``angles_per_radius`` angles, and the
+    (radii x angles) array is one batched side evaluation.  The
+    ``ZOOM_BRACKETS`` smallest grid slacks then each start a bracket of +- one
+    grid spacing, and the zoom runs at most ``ZOOM_LEVELS`` levels.  Each
+    level samples every live bracket at ``ZOOM_POINTS`` angles in one batched
+    side evaluation of the (brackets x ``ZOOM_POINTS``) array.  The sides
+    come back shaped like the ``z`` they were given.  Where the best
     sample is interior and the parabola through it and its two neighbours
     curves upward, the bracket recentres on that parabola's vertex, with a
     half-width of twice the vertex's distance from the best sample, kept
@@ -752,16 +761,14 @@ def check_inequality(
     is a ValueError naming its z.  The witness is the exact z at which the
     reported slack was computed.  For unit-circle entries only the radius-1
     slice is swept; parameter-only entries evaluate once.  An entry with a
-    registry ``tally`` has it applied to each radius's grid, and the counts
-    are summed into the report's ``extra``.
+    registry ``tally`` has it applied once, to the whole grid, and its counts
+    are the report's ``extra``.
     """
     defn = inst.defn
     radii = check_sweep_options(radii, angles_per_radius, tol_rel)
 
     if defn.domain == "parameter_only":
-        lhs, rhs = evaluate_sides(inst, None)
-        slack = _oriented_slack(defn, lhs, rhs)
-        _require_finite(defn, slack, None)
+        slack, lhs, rhs = (value.item() for value in _slack(inst, None))
         witness = defn.witness_hint(inst) if defn.witness_hint else None
         samples, radii, angles_per_radius, extra = 1, (), 0, NO_EXTRA
     else:
@@ -797,14 +804,9 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
     defn = inst.defn
     theta, unit = _grid(angles_per_radius)
     z = np.asarray(radii)[:, None] * unit
-    lhs, rhs = (side.reshape(z.shape) for side in _sides_at(inst, z.ravel()))
-    slack = _oriented_slack(defn, lhs, rhs)
-    _require_finite(defn, slack, z)
+    slack, lhs, rhs = _slack(inst, z)
     samples = z.size
-    extra = {} if defn.tally else NO_EXTRA
-    if defn.tally:
-        for row in z:
-            add_counts(extra, defn.tally(inst, row))
+    extra = defn.tally(inst, z) if defn.tally else NO_EXTRA
 
     # The ZOOM_BRACKETS smallest slacks of each radius, then the smallest of
     # those; the stable sort keeps ties in radius order.
@@ -825,9 +827,7 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
         state = np.array(live)
         theta = state[:, 1:2] + state[:, 2:] * _ZOOM_OFFSETS
         z = state[:, :1] * np.exp(1j * theta)
-        lhs, rhs = (side.reshape(z.shape) for side in _sides_at(inst, z.ravel()))
-        slack = _oriented_slack(defn, lhs, rhs)
-        _require_finite(defn, slack, z)
+        slack, lhs, rhs = _slack(inst, z)
         samples += z.size
         fits = []
         best_at = slack.argmin(axis=1).tolist()
@@ -847,14 +847,6 @@ def _sweep(inst: InequalityInstance, radii: tuple[float, ...], angles_per_radius
             break
 
     return low, witness, *at, samples, extra
-
-
-def _require_finite(defn: InequalityDef, slack: np.ndarray, z) -> None:
-    """Raise ValueError naming the first z, if any, whose slack is NaN or infinite."""
-    bad = np.flatnonzero(~np.isfinite(slack))
-    if len(bad):
-        where = "" if z is None else f" at z = {complex(np.ravel(z)[bad[0]])}"
-        raise ValueError(f"{defn.ineq_id}: slack is not finite{where}")
 
 
 def _vertex_step(s: list, i: int, theta_i: float, half: float) -> tuple[float, float, float]:
@@ -881,13 +873,6 @@ def _vertex_step(s: list, i: int, theta_i: float, half: float) -> tuple[float, f
 # sharpness probes
 # ---------------------------------------------------------------------------
 
-_PROBE_FAMILIES = {
-    "power": ("E1",),
-    "erdos_lax": ("E2",),
-    "turan": ("E3", "E5"),
-    "half": ("AE", "AWE"),
-}
-
 
 def sharpness_probe(
     def_id: str,
@@ -898,19 +883,21 @@ def sharpness_probe(
 ) -> float:
     """Minimal relative slack of ``def_id`` on a named equality family.
 
+    ``def_id`` must name ``family`` in its registry ``extremal`` field.
     Instantiates the extremal polynomial, verifies the hypotheses, and
     returns the ``rel_slack`` of ``check_inequality`` on it: the smallest
     slack of the sweep divided by the dominating side at that point.  Values
     at the level of rounding noise certify sharpness.
     """
-    from .generators import extremal_poly_with_roots
+    from .generators import EXTREMAL_FAMILIES, extremal_poly_with_roots
 
-    if family not in _PROBE_FAMILIES:
+    if family not in EXTREMAL_FAMILIES:
         raise ValueError(f"unknown extremal family {family!r}")
-    if def_id not in _PROBE_FAMILIES[family]:
+    targets = [d.ineq_id for d in _DEFS if family in d.extremal]
+    if def_id not in targets:
         raise ValueError(
             f"family {family!r} is incompatible with {def_id}; "
-            f"valid targets: {', '.join(_PROBE_FAMILIES[family])}"
+            f"valid targets: {', '.join(targets)}"
         )
     poly, roots = extremal_poly_with_roots(family, spec.n, a=a, b=b)
     inst = build_instance(def_id, poly, spec, p_roots=roots)

@@ -113,6 +113,25 @@ def test_dominated_pair_ignores_where_the_certifier_stopped(monkeypatch):
     assert pairs[0][1].coeffs == pairs[1][1].coeffs
 
 
+def test_dominated_pair_cancellation_is_an_error(monkeypatch):
+    # At k = 1 with min|F| less the tolerance exactly 1, gamma2 = -gamma1 *
+    # lead(F) cancels P's leading coefficient exactly.  That is a typed
+    # error, not a mix silently nudged into another pair.
+    cfg = GenConfig(n=4, k=1.0, seed=0, mode="zeros_inside")
+    f, _ = random_zeros_poly_with_roots(cfg)
+    real = generators.circle_extremum
+
+    def stub(p, r, kind, eps=None):
+        assert (1.0 + eps) - eps == 1.0
+        return dataclasses.replace(real(p, r, kind, eps=eps), value=1.0 + eps)
+
+    monkeypatch.setattr(generators, "circle_extremum", stub)
+    with pytest.raises(ValueError, match="leading coefficient cancels"):
+        dominated_pair_with_roots(cfg, 0.5, -0.5 * f.coeffs[-1])
+    with pytest.raises(ValueError, match="cannot both vanish"):
+        dominated_pair_with_roots(cfg, 0, 0)
+
+
 def test_dominated_pair_rejects_large_gammas():
     cfg = GenConfig(n=3, k=1.0, seed=8, mode="zeros_inside")
     with pytest.raises(ValueError):

@@ -491,21 +491,34 @@ def test_te2_mutation_seam():
     "ineq_id", [i for i in INEQUALITY_IDS if REGISTRY[i].domain != "parameter_only"]
 )
 def test_sides_return_one_value_per_point(ineq_id):
-    # The sweep reshapes its slack arrays into one row per radius or per
-    # bracket, so every z-dependent side must be shaped like z.
+    # The sweep passes its (radii x angles) grid and (brackets x samples)
+    # zoom levels as they are, so every z-dependent side must be shaped like
+    # z, and a grid's values must have the bits of the flattened grid's.
     inst = regenerate_instance(ineq_id, 5, 0)
-    z = np.exp(1j * np.linspace(0.1, 6.0, 5))
-    lhs, rhs = inst.defn.sides(inst, z)
-    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    assert lhs.shape == rhs.shape == (5,)
-    assert _oriented_slack(inst.defn, lhs, rhs).shape == (5,)
+    theta = 2.0 * np.pi * np.arange(512) / 512
+    grid = np.asarray(DEFAULT_RADII)[:, None] * np.exp(1j * theta)
+    for z in (np.exp(1j * np.linspace(0.1, 6.0, 5)), grid):
+        lhs, rhs = inst.defn.sides(inst, z)
+        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        assert lhs.shape == rhs.shape == z.shape
+        assert _oriented_slack(inst.defn, lhs, rhs).shape == z.shape
+    flat = [np.asarray(side, dtype=float) for side in inst.defn.sides(inst, grid.ravel())]
+    assert np.array_equal(lhs.ravel(), flat[0]) and np.array_equal(rhs.ravel(), flat[1])
 
 
 def test_sharpness_probes():
-    assert sharpness_probe("E1", "power", PolarSpec(n=6, s=0, k=1.0)) <= 1e-12
-    assert abs(sharpness_probe("E2", "erdos_lax", PolarSpec(n=5, s=0, k=1.0))) <= 1e-9
-    assert abs(sharpness_probe("AE", "half", PolarSpec(n=4, s=1, k=1.0, alphas=(3.0,)))) <= 1e-9
-    assert abs(sharpness_probe("E3", "turan", PolarSpec(n=4, s=0, k=1.0))) <= 1e-9
+    # Every (id, family) pair the registry declares reaches equality to
+    # rounding (the largest |rel_slack| is 5.9e-16).
+    pairs = [(d.ineq_id, family) for d in REGISTRY.values() for family in d.extremal]
+    assert len(pairs) == 6
+    for ineq_id, family in pairs:
+        if REGISTRY[ineq_id].needs_alphas:
+            specs = [PolarSpec(n=n, s=1, k=1.0, alphas=(alpha,))
+                     for n, alpha in ((4, 3.0), (6, 2.5), (5, 1.0))]
+        else:
+            specs = [PolarSpec(n=n, s=0, k=1.0) for n in (2, 4, 6)]
+        for spec in specs:
+            assert abs(sharpness_probe(ineq_id, family, spec)) <= 1e-12, (ineq_id, spec)
 
 
 def test_sharpness_incompatible_family():
@@ -526,7 +539,9 @@ def test_all_ids_hold_on_generated_instances():
 # The evaluators of the derivative-form entries and of E2/E3 as they were
 # written before those entries shared the chain-form ones, with their own
 # combo, constant and s-th derivatives (each combo as the one polynomial
-# z^s * chain + lc * poly).  The shared evaluators must give the same bits.
+# z^s * chain + lc * poly), and those of AWE, TE3/CE11 and CE9 as they were
+# written before the refined bounds shared one Max/Min bracket (CE7's copy
+# writes the bracket out too).  The shared evaluators must give the same bits.
 def _ref_cb_deriv(inst):
     return inst.spec.beta / (1.0 + inst.spec.k) ** inst.spec.s
 
@@ -585,6 +600,38 @@ def _ref_ce7(inst, z):
     return lhs, rhs
 
 
+def _ref_awe(inst, z):
+    lhs = np.abs(evaluate(inst.chain_p, z))
+    grow = np.abs(inst.alpha_prod) * np.abs(z) ** (inst.spec.n - inst.spec.s)
+    rhs = inst.ns / 2.0 * (
+        (grow + 1.0) * inst.max_p(1.0) - (grow - 1.0) * inst.min_p(1.0)
+    )
+    return lhs, rhs
+
+
+def _ref_te3(inst, z):
+    lhs = np.abs(evaluate(inst.combo_p, z))
+    t1 = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(
+        inst.alpha_prod + inst.cb
+    )
+    t2 = np.abs(z ** inst.spec.s + inst.cb)
+    rhs = inst.ns / 2.0 * (
+        (t1 + t2) * inst.max_p(inst.spec.k) - (t1 - t2) * inst.min_p(inst.spec.k)
+    )
+    return lhs, rhs
+
+
+def _ref_ce9(inst, z):
+    lhs = np.abs(evaluate(inst.chain_p, z))
+    v = np.abs(z) ** (inst.spec.n - inst.spec.s) / inst.spec.k ** inst.spec.n * abs(
+        inst.alpha_prod
+    )
+    rhs = inst.ns / 2.0 * (
+        (v + 1.0) * inst.max_p(inst.spec.k) - (v - 1.0) * inst.min_p(inst.spec.k)
+    )
+    return lhs, rhs
+
+
 def _ref_ce10(inst, z):
     lhs = np.abs(evaluate(sth_derivative(inst.p, inst.spec.s), z))
     amp = inst.ns * np.abs(z) ** (inst.spec.n - inst.spec.s) / (
@@ -596,6 +643,10 @@ def _ref_ce10(inst, z):
 _REFERENCE_SIDES = {
     "E2": _ref_e2,
     "E3": _ref_e3,
+    "AWE": _ref_awe,
+    "TE3": _ref_te3,
+    "CE11": _ref_te3,
+    "CE9": _ref_ce9,
     "CE2": _ref_ce2_ce5("max_p"),
     "CE3": _ref_ce3,
     "CE4": _ref_ce4,
