@@ -77,7 +77,6 @@ from .poly import Polynomial, circle_values, derivative, evaluate, modulus_bound
 __all__ = ["CircleExtremum", "ToleranceUnattainableError", "circle_extremum"]
 
 _BUDGET = 2**22  # evaluated points per call; a level adds at most _BUDGET // 8
-_BLOCK = 2**14
 _MAX_SPLIT = 32  # most parts one bracket is cut into
 _LEVEL_POINTS = 1024  # new points per level that the split aims at
 _POLISH_STEPS = 8
@@ -103,14 +102,9 @@ def _abs_sq_fourier(b: np.ndarray) -> np.ndarray:
 
 
 def _vector_eval(p: Polynomial, r: float, theta: np.ndarray) -> np.ndarray:
-    # Evaluate over blocks of _BLOCK angles, so the temporaries stay
-    # cache-sized (a whole level's z of up to 2**19 angles would add to the
-    # peak memory); every element is computed exactly as in one whole-array pass.
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty(theta.shape, dtype=complex)
-    for start in range(0, len(theta), _BLOCK):
-        out[start:start + _BLOCK] = evaluate(p, r * np.exp(1j * theta[start:start + _BLOCK]))
-    return out
+    # One level's values, in one batched pass; tests patch this seam to see
+    # each level's angles.
+    return evaluate(p, r * np.exp(1j * theta))
 
 
 class _Certifier:

@@ -181,16 +181,11 @@ def regenerate_instance(
             g2 = complex(v * (1 - split) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
         cfg = GenConfig(n=n, k=k, seed=poly_seed, mode="zeros_inside")
         p, f, roots = dominated_pair_with_roots(cfg, g1, g2)
-        return build_instance(def_id, p, spec, f=f, f_roots=roots)
+        return build_instance(def_id, p, spec, f=f, roots=roots)
 
-    mode = {
-        "inside": "zeros_inside",
-        "outside": "zeros_outside_open_disk",
-        "none": "unconstrained",
-    }[defn.zero_mode]
-    cfg = GenConfig(n=n, k=k, seed=poly_seed, mode=mode)
+    cfg = GenConfig(n=n, k=k, seed=poly_seed, mode=defn.zero_mode)
     p, roots = random_zeros_poly_with_roots(cfg)
-    return build_instance(def_id, p, spec, p_roots=roots or None)
+    return build_instance(def_id, p, spec, roots=roots)
 
 
 def _run_trial(

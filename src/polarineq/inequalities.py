@@ -12,14 +12,17 @@ for the continuum claim: pointwise modulus comparisons are smooth in the
 angle, so the zoom bounds the grid error.  ``sharpness_probe`` runs the
 same sweep on an equality family.
 
-The polar derivative gives back the ordinary one in the limit
-``D_alpha P / alpha -> P'`` as ``|alpha| -> inf``, so a spec with no polar
-points means that limit: ``chain_p`` is then ``P^(s)``, ``Lambda_s`` is 1
-and ``alpha_1...alpha_s`` is 1.  Each derivative-form entry is therefore its
-chain-form entry without polar points, and entries with the same side form
-share one evaluator: CE1, CE2, CE4 and CE5 (Max for an upper bound, Min for
-a lower one); TE1, CE_S1 and CE3; E2 and E4; E3 and E5; LE2 and LE4; TE3
-and CE11; CE7 and CE8.
+Each premise is stated once.  The derivative limit ``D_alpha P / alpha ->
+P'`` as ``|alpha| -> inf`` lives in ``polar``: a spec with no polar points
+is that limit, so ``polar_chain`` gives ``P^(s)``, ``lambda_product`` gives
+1 and ``alpha_1...alpha_s`` is the empty product 1.  Each derivative-form
+entry is therefore its chain-form entry without polar points, and entries
+with the same side form share one evaluator: CE1, CE2, CE4 and CE5 (Max for
+an upper bound, Min for a lower one); TE1, CE_S1 and CE3; E2 and E4; E3 and
+E5; LE2 and LE4; TE3 and CE11; CE7 and CE8.  The dominated-pair premise
+(``|P| <= |F|`` on ``|z| = k``, all zeros of F in ``|z| <= k``) lives in
+``InequalityDef.pair``, and ``build_instance`` checks it for every pair
+entry; the other entries name P's zero hypothesis in ``zero_mode``.
 
 The chain combo ``|z^s chain + beta n_s Lambda_s / (1+k)^s poly|`` that
 TE1, CE1-CE5, CE_S1, TE2, TE3, CE7, CE8, CE11 and LE5 read is one cached
@@ -134,9 +137,11 @@ class InequalityDef:
     (no z dependence).  ``sides(inst, z)`` takes ``z`` as an array of any
     shape (a point, the sweep's radii x angles grid, a zoom level's brackets
     x samples) and returns sides shaped like it; a parameter-only entry gets
-    ``z = None``.  ``zero_mode`` names the zero-location hypothesis of the
-    subject polynomial ("inside" / "outside" / "none"); for paired entries it
-    applies to F while P is constrained by domination on |z| = k.
+    ``z = None``.  ``pair`` marks a dominated-pair entry, whose premise is
+    ``|P| <= |F|`` on ``|z| = k`` with all zeros of F in ``|z| <= k``;
+    ``build_instance`` checks both, so a pair entry sets no ``zero_mode``.
+    Otherwise ``zero_mode`` is P's zero-location hypothesis, named as in
+    ``generators.MODES``, so the mode P is generated in is its hypothesis.
     ``tally(inst, z)``, when set, counts something about the whole sweep
     grid as ``{key: {name: count}}``; the counts become the report's
     ``extra`` and, summed across trials, go into the suite results.
@@ -150,7 +155,7 @@ class InequalityDef:
     domain: str
     sides: Callable
     pair: bool = False
-    zero_mode: str = "none"
+    zero_mode: str = "unconstrained"
     k_regime: str = "at_most_one"  # "at_most_one" | "at_least_one" | "unit" | "any"
     needs_alphas: bool = False
     uses_beta: bool = False
@@ -164,10 +169,9 @@ class InequalityInstance:
     """A hypothesis-checked (P, F, spec) triple with cached derived data.
 
     Max/Min circle terms are computed once per instance and cached; all
-    cached values are derived deterministically from (P, F, spec).  A spec
-    with no polar points means the derivative limit: ``chain_p`` and
-    ``chain_f`` are the s-th derivatives, ``lam`` is 1.0 and ``alpha_prod``
-    is ``1+0j``.
+    cached values are derived deterministically from (P, F, spec).  The
+    chains and ``lam`` come from ``polar``, which reads a spec with no polar
+    points as the derivative limit.
     """
 
     def __init__(self, defn: InequalityDef, p: Polynomial, f: Optional[Polynomial],
@@ -186,8 +190,6 @@ class InequalityInstance:
 
     @cached_property
     def lam(self) -> float:
-        if not self.spec.alphas:
-            return 1.0
         return lambda_product(self.spec)
 
     @cached_property
@@ -203,18 +205,13 @@ class InequalityInstance:
         return self.spec.beta * self.lam / (1.0 + self.spec.k) ** self.spec.s
 
     # -- derived polynomials ----------------------------------------------
-    def _chain(self, poly: Polynomial) -> Polynomial:
-        if not self.spec.alphas:
-            return sth_derivative(poly, self.spec.s)
-        return polar_chain(poly, self.spec)
-
     @cached_property
     def chain_p(self) -> Polynomial:
-        return self._chain(self.p)
+        return polar_chain(self.p, self.spec)
 
     @cached_property
     def chain_f(self) -> Polynomial:
-        return self._chain(self.f)
+        return polar_chain(self.f, self.spec)
 
     @cached_property
     def deriv1_p(self) -> Polynomial:
@@ -447,38 +444,38 @@ _DEFS = [
     ),
     InequalityDef(
         "E2", "P != 0 in |z|<1: max |P'| <= (n/2) max |P| on |z|=1", "upper",
-        "unit_circle", _sides_e4, zero_mode="outside", k_regime="unit", fixed_s=0,
-        extremal=("erdos_lax",),
+        "unit_circle", _sides_e4, zero_mode="zeros_outside_open_disk", k_regime="unit",
+        fixed_s=0, extremal=("erdos_lax",),
     ),
     InequalityDef(
         "E3", "all zeros in |z|<=1: max |P'| >= (n/2) max |P|", "lower",
-        "parameter_only", _sides_e5, zero_mode="inside", k_regime="unit",
+        "parameter_only", _sides_e5, zero_mode="zeros_inside", k_regime="unit",
         fixed_s=0, witness_hint=_witness_dp_max, extremal=("turan",),
     ),
     InequalityDef(
         "E4", "P != 0 in |z|<k, k>=1: max |P'| <= n/(1+k) max |P| on |z|=1",
-        "upper", "unit_circle", _sides_e4, zero_mode="outside",
+        "upper", "unit_circle", _sides_e4, zero_mode="zeros_outside_open_disk",
         k_regime="at_least_one", fixed_s=0,
     ),
     InequalityDef(
         "E5", "all zeros in |z|<=k, k<=1: max |P'| >= n/(1+k) max |P|", "lower",
-        "parameter_only", _sides_e5, zero_mode="inside", fixed_s=0,
+        "parameter_only", _sides_e5, zero_mode="zeros_inside", fixed_s=0,
         witness_hint=_witness_dp_max, extremal=("turan",),
     ),
     InequalityDef(
         "AE", "iterated polar derivative bound (|z|>=1, unit critical radius)",
-        "upper", "outside_unit_disk", _sides_ae, zero_mode="outside",
+        "upper", "outside_unit_disk", _sides_ae, zero_mode="zeros_outside_open_disk",
         k_regime="unit", needs_alphas=True, extremal=("half",),
     ),
     InequalityDef(
         "AWE", "AE refined by the subtracted minimum term", "upper",
-        "outside_unit_disk", _sides_awe, zero_mode="outside", k_regime="unit",
-        needs_alphas=True, extremal=("half",),
+        "outside_unit_disk", _sides_awe, zero_mode="zeros_outside_open_disk",
+        k_regime="unit", needs_alphas=True, extremal=("half",),
     ),
     InequalityDef(
         "TE1", "dominated-pair chain comparison |combo(P)| <= |combo(F)|",
-        "upper", "outside_unit_disk", _sides_te1, pair=True, zero_mode="inside",
-        needs_alphas=True, uses_beta=True,
+        "upper", "outside_unit_disk", _sides_te1, pair=True, needs_alphas=True,
+        uses_beta=True,
     ),
     InequalityDef(
         "CE1", "chain combo of arbitrary P vs (n_s |z|^n / k^n) |prod+cb| Max",
@@ -494,60 +491,63 @@ _DEFS = [
     ),
     InequalityDef(
         "CE4", "chain combo of all-zeros-inside F >= (n_s |z|^n / k^n) |prod+cb| Min",
-        "lower", "outside_unit_disk", _sides_ce1, zero_mode="inside",
+        "lower", "outside_unit_disk", _sides_ce1, zero_mode="zeros_inside",
         needs_alphas=True, uses_beta=True,
     ),
     InequalityDef(
         "CE5", "derivative combo of all-zeros-inside F >= (n_s |z|^n / k^n) |1+cb'| Min",
-        "lower", "outside_unit_disk", _sides_ce1, zero_mode="inside", uses_beta=True,
+        "lower", "outside_unit_disk", _sides_ce1, zero_mode="zeros_inside", uses_beta=True,
     ),
     InequalityDef(
         "CE_S1", "single-step dominated-pair comparison (s = 1)", "upper",
-        "outside_unit_disk", _sides_te1, pair=True, zero_mode="inside",
-        needs_alphas=True, uses_beta=True, fixed_s=1,
+        "outside_unit_disk", _sides_te1, pair=True, needs_alphas=True,
+        uses_beta=True, fixed_s=1,
     ),
     InequalityDef(
         "TE2", "chain combo of nonvanishing P vs (n_s/2){T1 + T2} Max", "upper",
-        "outside_unit_disk", _sides_te2, zero_mode="outside", needs_alphas=True,
-        uses_beta=True,
+        "outside_unit_disk", _sides_te2, zero_mode="zeros_outside_open_disk",
+        needs_alphas=True, uses_beta=True,
     ),
     InequalityDef(
         "TE3", "TE2 refined by the subtracted {T1 - T2} Min term", "upper",
-        "outside_unit_disk", _sides_te3, zero_mode="outside", needs_alphas=True,
-        uses_beta=True, tally=_tally_min_term_signs,
+        "outside_unit_disk", _sides_te3, zero_mode="zeros_outside_open_disk",
+        needs_alphas=True, uses_beta=True, tally=_tally_min_term_signs,
     ),
     InequalityDef(
         "CE7", "derivative form of TE3 (polar points sent to infinity)", "upper",
-        "outside_unit_disk", _sides_ce7, zero_mode="outside", uses_beta=True,
+        "outside_unit_disk", _sides_ce7, zero_mode="zeros_outside_open_disk",
+        uses_beta=True,
     ),
     InequalityDef(
         "CE8", "CE7 at s = 1", "upper", "outside_unit_disk", _sides_ce7,
-        zero_mode="outside", uses_beta=True, fixed_s=1,
+        zero_mode="zeros_outside_open_disk", uses_beta=True, fixed_s=1,
     ),
     InequalityDef(
         "CE9", "TE3 at beta = 0, normalized by |z|^s", "upper",
-        "outside_unit_disk", _sides_ce9, zero_mode="outside", needs_alphas=True,
+        "outside_unit_disk", _sides_ce9, zero_mode="zeros_outside_open_disk",
+        needs_alphas=True,
     ),
     InequalityDef(
         "CE10", "|P^(s)| <= (n_s |z|^(n-s) / 2 k^n)(Max - Min)", "upper",
-        "outside_unit_disk", _sides_ce10, zero_mode="outside",
+        "outside_unit_disk", _sides_ce10, zero_mode="zeros_outside_open_disk",
     ),
     InequalityDef(
         "CE11", "TE3 at s = 1", "upper", "outside_unit_disk", _sides_te3,
-        zero_mode="outside", needs_alphas=True, uses_beta=True, fixed_s=1,
+        zero_mode="zeros_outside_open_disk", needs_alphas=True, uses_beta=True,
+        fixed_s=1,
     ),
     InequalityDef(
         "LE2", "|D_a P| >= n ((|a|-k)/(1+k)) |P| on |z|=1", "lower",
-        "unit_circle", _sides_le2_le4, zero_mode="inside", needs_alphas=True,
+        "unit_circle", _sides_le2_le4, zero_mode="zeros_inside", needs_alphas=True,
         fixed_s=1,
     ),
     InequalityDef(
         "LE3", "(1/n)|a_{n-1}/a_n| <= k for all-zeros-inside polynomials",
-        "upper", "parameter_only", _sides_le3, zero_mode="inside", fixed_s=0,
+        "upper", "parameter_only", _sides_le3, zero_mode="zeros_inside", fixed_s=0,
     ),
     InequalityDef(
         "LE4", "|P_s| >= (n_s Lambda_s / (1+k)^s) |P| on |z|=1", "lower",
-        "unit_circle", _sides_le2_le4, zero_mode="inside", needs_alphas=True,
+        "unit_circle", _sides_le2_le4, zero_mode="zeros_inside", needs_alphas=True,
     ),
     InequalityDef(
         "LE5", "two-term chain sum <= n_s {T1 + T2} Max (no 1/2 factor)",
@@ -570,14 +570,16 @@ def build_instance(
     p: Polynomial,
     spec: PolarSpec,
     f: Optional[Polynomial] = None,
-    p_roots=None,
-    f_roots=None,
+    roots=None,
 ) -> InequalityInstance:
     """Verify every premise of ``def_id`` on (p, f, spec) and bundle them.
 
-    ``p_roots`` / ``f_roots`` may carry construction-time roots (from the
-    generators); they are validated against the coefficients before use so
-    the zero-location evidence stays honest for multiple roots.
+    The zeros checked are F's, in ``|z| <= k``, for a pair entry (with
+    ``|P| <= |F|`` on ``|z| = k``), and otherwise P's, per the entry's
+    ``zero_mode``.  ``roots`` may carry the planted roots of that polynomial
+    (from the generators); they are validated against its coefficients
+    before use, so the zero-location evidence stays honest for multiple
+    roots.
     """
     if def_id not in REGISTRY:
         raise ValueError(
@@ -636,17 +638,16 @@ def build_instance(
         raise HypothesisError(f"{def_id} takes no beta")
 
     report = {}
-    subject = f if defn.pair else p
-    subject_roots = f_roots if defn.pair else p_roots
-    if defn.zero_mode != "none":
-        evidence = zero_location_evidence(subject, subject_roots)
+    subject, mode = (f, "zeros_inside") if defn.pair else (p, defn.zero_mode)
+    if mode != "unconstrained":
+        evidence = zero_location_evidence(subject, roots)
         report["zero_location"] = evidence
-        if defn.zero_mode == "inside" and not evidence.contained_in(k):
+        if mode == "zeros_inside" and not evidence.contained_in(k):
             raise HypothesisError(
                 "hypothesis violated: all zeros in |z| <= k "
                 f"(max root modulus {evidence.max_modulus} > {k} + {evidence.root_tol})"
             )
-        if defn.zero_mode == "outside" and not evidence.outside_open_disk(k):
+        if mode == "zeros_outside_open_disk" and not evidence.outside_open_disk(k):
             raise HypothesisError(
                 "hypothesis violated: no zeros in |z| < k "
                 f"(min root modulus {evidence.min_modulus} < {k} - {evidence.root_tol})"
@@ -900,5 +901,5 @@ def sharpness_probe(
             f"valid targets: {', '.join(targets)}"
         )
     poly, roots = extremal_poly_with_roots(family, spec.n, a=a, b=b)
-    inst = build_instance(def_id, poly, spec, p_roots=roots)
+    inst = build_instance(def_id, poly, spec, roots=roots)
     return check_inequality(inst).rel_slack

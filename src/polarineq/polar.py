@@ -6,6 +6,10 @@ recovers the ordinary derivative through ``D_alpha P / alpha -> P'`` as
 ``|alpha| -> inf``.  Chains iterate the operator with the degree context
 stepping down by one at each position, regardless of any accidental degree
 collapse in between.
+
+This module is where that derivative limit lives: a spec with no polar
+points means every ``alpha_j`` has gone to infinity, so its chain is
+``P^(s)`` and its ``Lambda_s`` is the empty product 1.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .poly import Polynomial, make_poly
+from .poly import Polynomial, make_poly, sth_derivative
 
 __all__ = [
     "PolarSpec",
@@ -28,11 +32,11 @@ __all__ = [
 class PolarSpec:
     """Parameter bundle for one inequality instance.
 
-    ``alphas`` may be empty when ``s`` only names a derivative order (the
-    limiting forms of the inequalities have no polar points left); chain
-    operations require ``len(alphas) == s``.  Hypothesis-level constraints
-    (``|alpha_j| >= k``, ``|beta| <= 1``, the k-regime of a particular
-    inequality) are checked where instances are built, not here.
+    ``alphas`` holds ``s`` polar points, or none: an empty ``alphas`` is the
+    derivative limit, which ``polar_chain`` and ``lambda_product`` read as
+    ``P^(s)`` and 1.  Hypothesis-level constraints (``|alpha_j| >= k``,
+    ``|beta| <= 1``, the k-regime of a particular inequality) are checked
+    where instances are built, by ``inequalities.build_instance``.
     """
 
     n: int
@@ -79,13 +83,12 @@ def polar_chain(p: Polynomial, spec: PolarSpec) -> Polynomial:
     """Fold the polar derivative over ``spec.alphas``.
 
     Step j uses degree context ``n - j + 1`` by position, matching the chain
-    recurrence; s == 0 is the trivial passthrough.  The result has degree at
-    most ``n - s``.
+    recurrence.  With no polar points the chain is its derivative limit
+    ``P^(s)`` (so s == 0 is the trivial passthrough).  The result has degree
+    at most ``n - s``.
     """
-    if spec.s == 0:
-        return p
-    if len(spec.alphas) != spec.s:
-        raise ValueError(f"chain of length {spec.s} needs {spec.s} polar points")
+    if not spec.alphas:
+        return sth_derivative(p, spec.s)
     if spec.n < p.degree:
         raise ValueError(f"degree context too small: {spec.n} < degree {p.degree}")
     out = p
@@ -106,11 +109,10 @@ def falling_factorial(n: int, s: int) -> int:
 def lambda_product(spec: PolarSpec) -> float:
     """Product of the distances ``|alpha_j| - k``; zero on the boundary.
 
+    With no polar points (the derivative limit) it is the empty product 1.
     Any ``|alpha_j| < k`` is an error rather than a clamped value: inequality
     checkers must never run an out-of-hypothesis instance silently.
     """
-    if len(spec.alphas) != spec.s:
-        raise ValueError(f"expected {spec.s} polar points, got {len(spec.alphas)}")
     out = 1.0
     for a in spec.alphas:
         d = abs(a) - spec.k

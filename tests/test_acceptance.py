@@ -55,7 +55,7 @@ def test_criterion_2_hand_derived_te1_point():
     f = make_poly([0, 0, 1])
     p = scale(f, 0.5)
     spec = PolarSpec(n=2, s=1, k=1.0, alphas=(2.0,), beta=0.5)
-    inst = build_instance("TE1", p, spec, f=f, f_roots=(0j, 0j))
+    inst = build_instance("TE1", p, spec, f=f, roots=(0j, 0j))
     lhs, rhs = evaluate_sides(inst, 1.0)
     assert abs(lhs - 2.25) <= 1e-12
     assert abs(rhs - 4.5) <= 1e-12
@@ -85,7 +85,7 @@ def _random_outside_instance(rng, seed, def_id, k):
         for _ in range(s)
     )
     spec = PolarSpec(n=n, s=s, k=k, alphas=alphas, beta=0j)
-    return build_instance(def_id, p, spec, p_roots=roots), spec
+    return build_instance(def_id, p, spec, roots=roots), spec
 
 
 def test_criterion_4_reduction_identities():
@@ -93,7 +93,7 @@ def test_criterion_4_reduction_identities():
     pairs = 0
     for seed in range(40):
         te2, spec = _random_outside_instance(rng, seed, "TE2", 1.0)
-        ae = build_instance("AE", te2.p, spec, p_roots=None if te2.p.degree < 1 else
+        ae = build_instance("AE", te2.p, spec, roots=None if te2.p.degree < 1 else
                             tuple(find_roots(te2.p).roots))
         radii = np.exp(rng.uniform(0, np.log(3), 250))
         thetas = rng.uniform(0, 2 * np.pi, 250)
@@ -108,7 +108,7 @@ def test_criterion_4_reduction_identities():
     pairs = 0
     for seed in range(40):
         ce9, spec = _random_outside_instance(rng, 100 + seed, "CE9", 1.0)
-        awe = build_instance("AWE", ce9.p, spec, p_roots=tuple(find_roots(ce9.p).roots))
+        awe = build_instance("AWE", ce9.p, spec, roots=tuple(find_roots(ce9.p).roots))
         radii = np.exp(rng.uniform(0, np.log(3), 250))
         z = radii * np.exp(1j * rng.uniform(0, 2 * np.pi, 250))
         l9, r9 = ce9.defn.sides(ce9, z)

@@ -14,7 +14,7 @@ from polarineq import (
     poly_from_roots,
 )
 from polarineq import extrema, generators, inequalities
-from polarineq.extrema import _BLOCK, _abs_sq_fourier, _vector_eval
+from polarineq.extrema import _abs_sq_fourier
 from polarineq.generators import GenConfig, random_zeros_poly_with_roots, rng_stream
 from polarineq.harness import regenerate_instance
 from polarineq.inequalities import check_inequality
@@ -150,18 +150,6 @@ def test_validation_errors():
         circle_extremum(make_poly([1, 1]), -1.0, "max")
     with pytest.raises(ValueError):
         circle_extremum(make_poly([1, 1]), 1.0, "sup")
-
-
-@pytest.mark.parametrize("length", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
-def test_blocked_grid_kernel_matches_one_shot_horner(length):
-    rng = np.random.default_rng(length)
-    coeffs = rng.standard_normal(17) + 1j * rng.standard_normal(17)
-    theta = rng.uniform(0.0, 2.0 * np.pi, length)
-    z = 1.3 * np.exp(1j * theta)
-    acc = np.zeros(z.shape, dtype=complex)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    assert np.array_equal(_vector_eval(make_poly(coeffs), 1.3, theta), acc)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 12, 64])

@@ -145,7 +145,7 @@ def test_dominated_pairs_satisfy_te1_hypotheses():
         cfg = GenConfig(n=6, k=0.8, seed=seed, mode="zeros_inside")
         p, f, roots = dominated_pair_with_roots(cfg, 0.55, 0.25j)
         spec = PolarSpec(n=6, s=2, k=0.8, alphas=(1.0, 2.0j), beta=0.5)
-        inst = build_instance("TE1", p, spec, f=f, f_roots=roots)
+        inst = build_instance("TE1", p, spec, f=f, roots=roots)
         assert inst.hypothesis_report["domination_excess"] <= 0
 
 

@@ -31,6 +31,7 @@ from polarineq import (
     sharpness_probe,
 )
 from polarineq.generators import (
+    MODES,
     dominated_pair_with_roots,
     extremal_poly_with_roots,
     random_zeros_poly_with_roots,
@@ -54,7 +55,7 @@ def _te1_instance(gamma=0.5):
     f = make_poly([0, 0, 1])
     p = scale(f, gamma)
     spec = PolarSpec(n=2, s=1, k=1.0, alphas=(2.0,), beta=0.5)
-    return build_instance("TE1", p, spec, f=f, f_roots=(0j, 0j))
+    return build_instance("TE1", p, spec, f=f, roots=(0j, 0j))
 
 
 def test_te1_hand_point_check():
@@ -67,7 +68,7 @@ def test_te1_hand_point_check():
 def test_ae_equality_point():
     p, roots = extremal_poly_with_roots("half", 2)
     spec = PolarSpec(n=2, s=1, k=1.0, alphas=(2.0,))
-    inst = build_instance("AE", p, spec, p_roots=roots)
+    inst = build_instance("AE", p, spec, roots=roots)
     lhs, rhs = evaluate_sides(inst, 1.0)
     assert abs(lhs - 3.0) <= 1e-12
     assert abs(rhs - 3.0) <= 1e-12
@@ -76,7 +77,7 @@ def test_ae_equality_point():
 def test_le2_hand_point_check():
     p = poly_from_roots([-1, -1], 1)
     spec = PolarSpec(n=2, s=1, k=1.0, alphas=(3.0,))
-    inst = build_instance("LE2", p, spec, p_roots=(-1 + 0j, -1 + 0j))
+    inst = build_instance("LE2", p, spec, roots=(-1 + 0j, -1 + 0j))
     lhs, rhs = evaluate_sides(inst, 1.0)
     assert abs(lhs - 16.0) <= 1e-12
     assert abs(rhs - 8.0) <= 1e-12
@@ -86,13 +87,13 @@ def test_te2_boundary_zero_semantics():
     # zeros ON |z| = k are outside the open disk, hence accepted
     p = poly_from_roots([-1, -1], 1)
     spec1 = PolarSpec(n=2, s=1, k=1.0, alphas=(2.0,), beta=0j)
-    build_instance("TE2", p, spec1, p_roots=(-1 + 0j, -1 + 0j))
+    build_instance("TE2", p, spec1, roots=(-1 + 0j, -1 + 0j))
     spec05 = PolarSpec(n=2, s=1, k=0.5, alphas=(2.0,), beta=0j)
-    build_instance("TE2", p, spec05, p_roots=(-1 + 0j, -1 + 0j))
+    build_instance("TE2", p, spec05, roots=(-1 + 0j, -1 + 0j))
     # an interior zero violates the hypothesis
     bad = poly_from_roots([-0.1, -2], 1)
     with pytest.raises(HypothesisError, match="no zeros"):
-        build_instance("TE2", bad, spec05, p_roots=(-0.1 + 0j, -2 + 0j))
+        build_instance("TE2", bad, spec05, roots=(-0.1 + 0j, -2 + 0j))
 
 
 def test_alpha_hypothesis_rejected():
@@ -100,21 +101,21 @@ def test_alpha_hypothesis_rejected():
     p = scale(f, 0.5)
     spec = PolarSpec(n=2, s=1, k=1.0, alphas=(0.5,), beta=0.5)
     with pytest.raises(HypothesisError, match="alpha"):
-        build_instance("TE1", p, spec, f=f, f_roots=(0j, 0j))
+        build_instance("TE1", p, spec, f=f, roots=(0j, 0j))
 
 
 def test_beta_hypothesis_rejected():
     f = make_poly([0, 0, 1])
     spec = PolarSpec(n=2, s=1, k=1.0, alphas=(2.0,), beta=1.5)
     with pytest.raises(HypothesisError, match="beta"):
-        build_instance("TE1", scale(f, 0.5), spec, f=f, f_roots=(0j, 0j))
+        build_instance("TE1", scale(f, 0.5), spec, f=f, roots=(0j, 0j))
 
 
 def test_degree_and_pair_requirements():
     spec = PolarSpec(n=3, s=1, k=1.0, alphas=(2.0,), beta=0j)
     with pytest.raises(HypothesisError, match="degree"):
         build_instance("TE1", make_poly([1, 1]), spec, f=make_poly([0, 0, 0, 1]),
-                       f_roots=(0j, 0j, 0j))
+                       roots=(0j, 0j, 0j))
     with pytest.raises(HypothesisError, match="F"):
         build_instance("TE1", make_poly([1, 0, 0, 1]), spec)
 
@@ -124,7 +125,24 @@ def test_domination_failure_rejected():
     p = make_poly([0, 0, 2])  # |P| = 2|F| on the circle
     spec = PolarSpec(n=2, s=1, k=1.0, alphas=(2.0,), beta=0j)
     with pytest.raises(HypothesisError, match="\\|P\\|"):
-        build_instance("TE1", p, spec, f=f, f_roots=(0j, 0j))
+        build_instance("TE1", p, spec, f=f, roots=(0j, 0j))
+
+
+@pytest.mark.parametrize("ineq_id", [i for i in INEQUALITY_IDS if REGISTRY[i].pair])
+def test_pair_entries_need_the_zeros_of_f_inside(ineq_id):
+    # |z^3| <= |(z - 2)^3| on |z| = 1, but F's zeros lie outside the disk.
+    alphas = (2.0,) if REGISTRY[ineq_id].needs_alphas else ()
+    spec = PolarSpec(n=3, s=1, k=1.0, alphas=alphas)
+    f = poly_from_roots([2, 2, 2], 1)
+    with pytest.raises(HypothesisError, match="all zeros in"):
+        build_instance(ineq_id, make_poly([0, 0, 0, 1]), spec, f=f)
+
+
+def test_zero_modes_are_generator_modes():
+    for defn in REGISTRY.values():
+        assert defn.zero_mode in MODES
+        if defn.pair:  # pair=True carries F's zero hypothesis itself
+            assert defn.zero_mode == "unconstrained"
 
 
 def test_k_regime_enforced():
@@ -132,16 +150,16 @@ def test_k_regime_enforced():
         GenConfig(n=4, k=2.0, seed=1, mode="zeros_outside_open_disk")
     )
     spec = PolarSpec(n=4, s=0, k=2.0)
-    build_instance("E4", p, spec, p_roots=roots)  # k >= 1 fine for E4
+    build_instance("E4", p, spec, roots=roots)  # k >= 1 fine for E4
     p2, roots2 = random_zeros_poly_with_roots(
         GenConfig(n=4, k=0.5, seed=1, mode="zeros_outside_open_disk")
     )
     with pytest.raises(HypothesisError, match="k >= 1"):
-        build_instance("E4", p2, PolarSpec(n=4, s=0, k=0.5), p_roots=roots2)
+        build_instance("E4", p2, PolarSpec(n=4, s=0, k=0.5), roots=roots2)
     with pytest.raises(HypothesisError, match="k <= 1"):
         build_instance(
             "TE2", p, PolarSpec(n=4, s=1, k=2.0, alphas=(3.0,), beta=0j),
-            p_roots=roots,
+            roots=roots,
         )
 
 
@@ -168,7 +186,7 @@ def test_e1_equality_family_slack():
 
 def test_e3_equality_family_slack():
     p = poly_from_roots([-1] * 4, 1)
-    inst = build_instance("E3", p, PolarSpec(n=4, s=0, k=1.0), p_roots=(-1 + 0j,) * 4)
+    inst = build_instance("E3", p, PolarSpec(n=4, s=0, k=1.0), roots=(-1 + 0j,) * 4)
     report = check_inequality(inst)
     assert abs(report.rel_slack) <= 1e-10
 
@@ -181,7 +199,7 @@ def test_evaluate_sides_domain_checks():
         evaluate_sides(inst, 0.5)
     p = poly_from_roots([-1, -1], 1)
     le2 = build_instance(
-        "LE2", p, PolarSpec(n=2, s=1, k=1.0, alphas=(3.0,)), p_roots=(-1 + 0j,) * 2
+        "LE2", p, PolarSpec(n=2, s=1, k=1.0, alphas=(3.0,)), roots=(-1 + 0j,) * 2
     )
     with pytest.raises(ValueError, match="domain"):
         evaluate_sides(le2, 1.5)
@@ -208,7 +226,7 @@ def test_check_rejects_non_finite_tolerance():
     cfg = GenConfig(n=5, k=0.5, seed=51, mode="zeros_outside_open_disk")
     p, roots = random_zeros_poly_with_roots(cfg)
     spec = PolarSpec(n=5, s=1, k=0.5, alphas=(1.0,), beta=0.5)
-    inst = build_instance("TE2", p, spec, p_roots=roots)
+    inst = build_instance("TE2", p, spec, roots=roots)
     with rhs_sign_flip("TE2"):
         for tol in (math.inf, math.nan, 0.0, -1e-8):
             with pytest.raises(ValueError, match="tol_rel"):
@@ -378,8 +396,8 @@ def test_reduction_te2_to_ae():
         alphas = tuple(complex(rng.uniform(1, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
                        for _ in range(s))
         spec = PolarSpec(n=n, s=s, k=1.0, alphas=alphas, beta=0j)
-        te2 = build_instance("TE2", p, spec, p_roots=roots)
-        ae = build_instance("AE", p, spec, p_roots=roots)
+        te2 = build_instance("TE2", p, spec, roots=roots)
+        ae = build_instance("AE", p, spec, roots=roots)
         for _ in range(50):
             z = complex(np.exp(rng.uniform(0, np.log(3))) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
             l2, r2 = evaluate_sides(te2, z)
@@ -402,8 +420,8 @@ def test_reduction_ce9_to_awe():
         alphas = tuple(complex(rng.uniform(1, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
                        for _ in range(s))
         spec = PolarSpec(n=n, s=s, k=1.0, alphas=alphas, beta=0j)
-        ce9 = build_instance("CE9", p, spec, p_roots=roots)
-        awe = build_instance("AWE", p, spec, p_roots=roots)
+        ce9 = build_instance("CE9", p, spec, roots=roots)
+        awe = build_instance("AWE", p, spec, roots=roots)
         for _ in range(50):
             z = complex(np.exp(rng.uniform(0, np.log(3))) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
             l9, r9 = evaluate_sides(ce9, z)
@@ -420,8 +438,8 @@ def test_te1_specializes_to_ce3_at_large_alpha():
     s = 2
     spec_a = PolarSpec(n=5, s=s, k=0.8, alphas=(big, big), beta=0.6j)
     spec_d = PolarSpec(n=5, s=s, k=0.8, beta=0.6j)
-    te1 = build_instance("TE1", p, spec_a, f=f, f_roots=roots)
-    ce3 = build_instance("CE3", p, spec_d, f=f, f_roots=roots)
+    te1 = build_instance("TE1", p, spec_a, f=f, roots=roots)
+    ce3 = build_instance("CE3", p, spec_d, f=f, roots=roots)
     rng = np.random.default_rng(1)
     for _ in range(30):
         z = complex(np.exp(rng.uniform(0, np.log(3))) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
@@ -436,7 +454,7 @@ def test_le5_dominates_te2():
     p, roots = random_zeros_poly_with_roots(cfg)
     spec = PolarSpec(n=6, s=2, k=0.5, alphas=(0.9, 1.2j), beta=0.4 - 0.1j)
     le5 = build_instance("LE5", p, spec)
-    te2 = build_instance("TE2", p, spec, p_roots=roots)
+    te2 = build_instance("TE2", p, spec, roots=roots)
     rng = np.random.default_rng(2)
     for _ in range(60):
         z = complex(np.exp(rng.uniform(0, np.log(3))) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
@@ -451,9 +469,9 @@ def test_scaling_invariance():
     cfg = GenConfig(n=5, k=0.8, seed=31, mode="zeros_inside")
     p, f, roots = dominated_pair_with_roots(cfg, 0.5, 0.2)
     spec = PolarSpec(n=5, s=1, k=0.8, alphas=(1.5,), beta=0.3)
-    base = build_instance("TE1", p, spec, f=f, f_roots=roots)
+    base = build_instance("TE1", p, spec, f=f, roots=roots)
     c = 2.5 - 1.5j
-    scaled = build_instance("TE1", scale(p, c), spec, f=scale(f, c), f_roots=roots)
+    scaled = build_instance("TE1", scale(p, c), spec, f=scale(f, c), roots=roots)
     rng = np.random.default_rng(3)
     for _ in range(25):
         z = complex(np.exp(rng.uniform(0, np.log(3))) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
@@ -471,7 +489,7 @@ def test_te3_sign_distribution_recorded():
     cfg = GenConfig(n=5, k=0.5, seed=41, mode="zeros_outside_open_disk")
     p, roots = random_zeros_poly_with_roots(cfg)
     spec = PolarSpec(n=5, s=1, k=0.5, alphas=(1.0,), beta=0.5)
-    rep = check_inequality(build_instance("TE3", p, spec, p_roots=roots))
+    rep = check_inequality(build_instance("TE3", p, spec, roots=roots))
     counts = rep.extra["min_term_sign_counts"]
     assert counts["neg"] + counts["nonneg"] == rep.angles_per_radius * len(rep.radii)
 
@@ -480,7 +498,7 @@ def test_te2_mutation_seam():
     cfg = GenConfig(n=5, k=0.5, seed=51, mode="zeros_outside_open_disk")
     p, roots = random_zeros_poly_with_roots(cfg)
     spec = PolarSpec(n=5, s=1, k=0.5, alphas=(1.0,), beta=0.5)
-    inst = build_instance("TE2", p, spec, p_roots=roots)
+    inst = build_instance("TE2", p, spec, roots=roots)
     assert check_inequality(inst).passed
     with rhs_sign_flip("TE2"):
         assert not check_inequality(inst).passed

@@ -96,6 +96,13 @@ def test_polar_chain_limit_is_sth_derivative():
         assert abs(c / big**2 - t) <= 1e-4 * ref
 
 
+@pytest.mark.parametrize("s", [0, 1, 2, 3])
+def test_polar_chain_without_polar_points_is_the_derivative(s):
+    rng = np.random.default_rng(s)
+    p = make_poly(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    assert polar_chain(p, PolarSpec(n=5, s=s, k=0.5)) == sth_derivative(p, s)
+
+
 def test_polar_limit_contract():
     # |D_A P / A - P'| <= n * max|a_j| * (n+1) / |A|, coefficient-wise
     rng = np.random.default_rng(17)
@@ -136,6 +143,9 @@ def test_lambda_product():
     assert lambda_product(PolarSpec(n=5, s=1, k=0.5, alphas=(1.5j,))) == 1.0
     # exact boundary modulus contributes a zero factor
     assert lambda_product(PolarSpec(n=5, s=1, k=0.5, alphas=(0.5j,))) == 0.0
+    # no polar points: the derivative limit, an empty product
+    for s in range(4):
+        assert lambda_product(PolarSpec(n=5, s=s, k=0.5)) == 1.0
     with pytest.raises(ValueError, match="hypothesis violated"):
         lambda_product(PolarSpec(n=5, s=1, k=1.0, alphas=(0.5,)))
 
