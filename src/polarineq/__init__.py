@@ -31,7 +31,6 @@ from .inequalities import (
     build_instance,
     check_inequality,
     evaluate_sides,
-    rhs_sign_flip,
     sharpness_probe,
 )
 from .polar import PolarSpec, falling_factorial, lambda_product, polar_chain, polar_derivative

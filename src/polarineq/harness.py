@@ -120,15 +120,12 @@ def _validate_ids(ineq_ids: Sequence[str]) -> tuple[str, ...]:
 
 def _sample_alpha(rng, k: float, aggressive: bool) -> complex:
     u = rng.random()
-    if aggressive:
-        if u < 0.2:
-            return k * (1j ** int(rng.integers(0, 4)))  # exact boundary modulus
-        mag = rng.uniform(k * (1.0 + 1e-9), 1.05 * k)
-        return complex(mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-    if u < 0.05:
+    if u < (0.2 if aggressive else 0.05):
         # axis-aligned so |alpha| == k exactly in floating point
         return k * (1j ** int(rng.integers(0, 4)))
-    if u < 0.15:
+    if aggressive:
+        mag = rng.uniform(k * (1.0 + 1e-9), 1.05 * k)
+    elif u < 0.15:
         mag = 20.0 * k
     else:
         mag = rng.uniform(k * (1.0 + 1e-9), 4.0 * k)

@@ -26,10 +26,10 @@ entry; the other entries name P's zero hypothesis in ``zero_mode``.
 
 The chain combo ``|z^s chain + beta n_s Lambda_s / (1+k)^s poly|`` that
 TE1, CE1-CE5, CE_S1, TE2, TE3, CE7, CE8, CE11 and LE5 read is one cached
-polynomial per (poly, chain) pair, with coefficients ``chain_{j-s} + lc a_j``
-(``combo_p``, ``combo_f``, ``combo_q_rescaled``), so each value costs one
-Horner pass; Horner's error bound (Higham 2002, sec. 5.1) on it is no
-larger than that of the two passes it replaces.
+polynomial per poly (``combo_p``, ``combo_f``, ``combo_q_rescaled``), built
+from that poly and its own chain, with coefficients ``chain_{j-s} + lc a_j``,
+so each value costs one Horner pass; Horner's error bound (Higham 2002, sec.
+5.1) on it is no larger than that of the two passes it replaces.
 
 Slack is oriented so that a valid instance always has nonnegative slack:
 ``rhs - lhs`` for upper bounds, ``lhs - rhs`` for lower bounds (the sides
@@ -78,7 +78,6 @@ __all__ = [
     "check_inequality",
     "check_sweep_options",
     "sharpness_probe",
-    "rhs_sign_flip",
 ]
 
 DEFAULT_RADII = (1.0, 1.05, 1.5, 3.0)
@@ -171,7 +170,10 @@ class InequalityInstance:
     Max/Min circle terms are computed once per instance and cached; all
     cached values are derived deterministically from (P, F, spec).  The
     chains and ``lam`` come from ``polar``, which reads a spec with no polar
-    points as the derivative limit.
+    points as the derivative limit.  Each chain combo (``combo_p``,
+    ``combo_f``, ``combo_q_rescaled``) is built from its polynomial alone,
+    with one ``polar_chain`` call; ``chain_p`` is kept for the entries that
+    read P's chain itself.
     """
 
     def __init__(self, defn: InequalityDef, p: Polynomial, f: Optional[Polynomial],
@@ -194,10 +196,7 @@ class InequalityInstance:
 
     @cached_property
     def alpha_prod(self) -> complex:
-        out = 1 + 0j
-        for a in self.spec.alphas:
-            out *= a
-        return out
+        return math.prod(self.spec.alphas, start=1 + 0j)
 
     @cached_property
     def cb(self) -> complex:
@@ -210,45 +209,35 @@ class InequalityInstance:
         return polar_chain(self.p, self.spec)
 
     @cached_property
-    def chain_f(self) -> Polynomial:
-        return polar_chain(self.f, self.spec)
-
-    @cached_property
     def deriv1_p(self) -> Polynomial:
         return sth_derivative(self.p, 1)
 
     @cached_property
-    def q_poly(self) -> Polynomial:
-        return conjugate_reciprocal(self.p, self.spec.n)
-
-    @cached_property
     def q_rescaled(self) -> Polynomial:
-        # k^n * Q(z / k^2): the reflected polynomial carried back to the
-        # k-circle, where its modulus matches |P| exactly.
+        # k^n * Q(z / k^2), Q = z^n conj(P(1 / conj z)): the reflected
+        # polynomial carried back to the k-circle, where its modulus matches
+        # |P| exactly.
         k, n = self.spec.k, self.spec.n
-        return poly_scale(scale_argument(self.q_poly, 1.0 / k**2), k**n)
+        return poly_scale(scale_argument(conjugate_reciprocal(self.p, n), 1.0 / k**2), k**n)
 
-    @cached_property
-    def chain_q_rescaled(self) -> Polynomial:
-        return polar_chain(self.q_rescaled, self.spec)
-
-    def _combo(self, poly: Polynomial, chain: Polynomial) -> Polynomial:
+    def _combo(self, poly: Polynomial) -> Polynomial:
         # z^s * chain + beta * n_s * Lambda_s / (1+k)^s * poly, whose
         # coefficients are chain_{j-s} + lc * a_j: one Horner pass per value.
+        chain = polar_chain(poly, self.spec)
         lc = self.spec.beta * self.ns * self.lam / (1.0 + self.spec.k) ** self.spec.s
         return add(make_poly([0j] * self.spec.s + list(chain.coeffs)), poly_scale(poly, lc))
 
     @cached_property
     def combo_p(self) -> Polynomial:
-        return self._combo(self.p, self.chain_p)
+        return self._combo(self.p)
 
     @cached_property
     def combo_f(self) -> Polynomial:
-        return self._combo(self.f, self.chain_f)
+        return self._combo(self.f)
 
     @cached_property
     def combo_q_rescaled(self) -> Polynomial:
-        return self._combo(self.q_rescaled, self.chain_q_rescaled)
+        return self._combo(self.q_rescaled)
 
     # -- cached circle extrema ---------------------------------------------
     def extremum(self, which: str, radius: float, kind: str) -> CircleExtremum:
@@ -346,15 +335,17 @@ def _sides_ce1(inst, z):
     return lhs, rhs
 
 
+def _t1(inst, z):
+    # T1 = (|z|^n / k^n) |a1...as + cb|
+    return np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(inst.alpha_prod + inst.cb)
+
+
 def _chain_brackets(inst, z):
-    # T1 = (|z|^n / k^n) |a1...as + cb|,  T2 = |z^s + cb|
-    t1 = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(
-        inst.alpha_prod + inst.cb
-    )
+    # T1 and T2 = |z^s + cb|
+    t1 = _t1(inst, z)
     if inst.defn.ineq_id in _RHS_SIGN_FLIPS:
         t1 = -t1
-    t2 = np.abs(z ** inst.spec.s + inst.cb)
-    return t1, t2
+    return t1, np.abs(z ** inst.spec.s + inst.cb)
 
 
 def _sides_te2(inst, z):
@@ -380,10 +371,7 @@ def _tally_min_term_signs(inst, z):
 
 def _sides_ce7(inst, z):
     lhs = _abs_eval(inst.combo_p, z)
-    u1 = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(
-        inst.alpha_prod + inst.cb
-    )
-    return lhs, _max_min_bracket(inst, u1, abs(inst.cb), inst.spec.k)
+    return lhs, _max_min_bracket(inst, _t1(inst, z), abs(inst.cb), inst.spec.k)
 
 
 def _sides_ce9(inst, z):
@@ -676,15 +664,12 @@ def _oriented_slack(defn: InequalityDef, lhs, rhs):
     return rhs - lhs if defn.direction == "upper" else lhs - rhs
 
 
-def _sides(inst: InequalityInstance, z) -> tuple[np.ndarray, np.ndarray]:
-    """``inst``'s two sides as float arrays shaped like ``z`` (0-d for ``None``)."""
-    lhs, rhs = inst.defn.sides(inst, z)
-    return np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-
-
 def _slack(inst: InequalityInstance, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(slack, lhs, rhs) at ``z``; ValueError naming the first z whose slack is not finite."""
-    lhs, rhs = _sides(inst, z)
+    """(slack, lhs, rhs) at ``z``, as float arrays shaped like ``z`` (0-d for ``None``).
+
+    ValueError naming the first z whose slack is not finite.
+    """
+    lhs, rhs = (np.asarray(side, dtype=float) for side in inst.defn.sides(inst, z))
     slack = _oriented_slack(inst.defn, lhs, rhs)
     bad = np.flatnonzero(~np.isfinite(slack))
     if len(bad):
@@ -693,32 +678,44 @@ def _slack(inst: InequalityInstance, z) -> tuple[np.ndarray, np.ndarray, np.ndar
     return slack, lhs, rhs
 
 
+def _check_modulus(domain: str, r: float, name: str) -> None:
+    """ValueError unless a sweep of ``domain`` may visit ``|z| = r``.
+
+    Outside-disk entries take ``1 - 1e-12 <= r <= Z_MODULUS_LIMIT`` and
+    unit-circle entries ``|r - 1| <= 1e-12``; a NaN ``r`` is in neither.
+    """
+    if domain == "unit_circle":
+        if not abs(r - 1.0) <= 1e-12:
+            raise ValueError(f"{name} {r} outside the domain |z| = 1")
+    elif not 1.0 - 1e-12 <= r <= Z_MODULUS_LIMIT:
+        raise ValueError(f"{name} {r} outside the domain [1, {Z_MODULUS_LIMIT}]")
+
+
 def evaluate_sides(inst: InequalityInstance, z: complex) -> tuple[float, float]:
     """Both sides at one point, as nonnegative reals.
 
-    The point goes to the sides as a one-element array, so it takes the same
-    ``horner`` pass as a grid point.
+    ``z`` must lie where a sweep of the entry may go (``check_sweep_options``
+    states the rule; a parameter-only entry ignores ``z``).  The point goes
+    to the sides as a one-element array, so it takes the same ``horner`` pass
+    as a grid point, and a slack that is not finite is the sweep's
+    ValueError.
     """
-    defn = inst.defn
     point = None
-    if defn.domain != "parameter_only":
+    if inst.defn.domain != "parameter_only":
         zc = complex(z)
-        mod = abs(zc)
-        if mod > Z_MODULUS_LIMIT:
-            raise ValueError(f"|z| = {mod} too large (limit {Z_MODULUS_LIMIT})")
-        if defn.domain == "outside_unit_disk" and mod < 1.0 - 1e-9:
-            raise ValueError(f"|z| = {mod} outside the domain |z| >= 1")
-        if defn.domain == "unit_circle" and abs(mod - 1.0) > 1e-6:
-            raise ValueError(f"|z| = {mod} outside the domain |z| = 1")
+        _check_modulus(inst.defn.domain, abs(zc), "|z| =")
         point = np.asarray([zc])
-    lhs, rhs = _sides(inst, point)
+    _, lhs, rhs = _slack(inst, point)
     return lhs.item(), rhs.item()
 
 
 def check_sweep_options(radii, angles_per_radius: int, tol_rel: float) -> tuple[float, ...]:
     """The radii as floats, once every sweep option is valid.
 
-    Raises ValueError naming the option that is not.
+    Every radius must lie in the outside-disk domain ``[1 - 1e-12,
+    Z_MODULUS_LIMIT]``; a unit-circle entry sweeps ``|z| = 1`` whatever the
+    radii, and ``evaluate_sides`` holds a replayed point to the same rule.
+    Raises ValueError naming the option that is not valid.
     """
     if not 0.0 < tol_rel < math.inf:
         raise ValueError(f"tol_rel must be finite and positive, got {tol_rel}")
@@ -728,8 +725,7 @@ def check_sweep_options(radii, angles_per_radius: int, tol_rel: float) -> tuple[
     if not out:
         raise ValueError("radii must name at least one circle")
     for r in out:
-        if not 1.0 - 1e-12 <= r <= Z_MODULUS_LIMIT:
-            raise ValueError(f"radii: radius {r} outside the domain [1, {Z_MODULUS_LIMIT}]")
+        _check_modulus("outside_unit_disk", r, "radii: radius")
     return out
 
 

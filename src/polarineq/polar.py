@@ -76,7 +76,7 @@ def polar_derivative(p: Polynomial, n: int, alpha: complex) -> Polynomial:
     a = list(p.coeffs) + [0j]
     al = complex(alpha)
     out = [(n - j) * a[j] + al * (j + 1) * a[j + 1] for j in range(len(p.coeffs))]
-    return make_poly(out) if any(c != 0 for c in out) else Polynomial(())
+    return make_poly(out)
 
 
 def polar_chain(p: Polynomial, spec: PolarSpec) -> Polynomial:

@@ -151,7 +151,7 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
         cs[j] += c
     for j, c in enumerate(q.coeffs):
         cs[j] += c
-    return make_poly(cs) if any(c != 0 for c in cs) else Polynomial(())
+    return make_poly(cs)
 
 
 def scale(p: Polynomial, c: complex) -> Polynomial:

@@ -21,7 +21,6 @@ from polarineq import (
     fuzz_search,
     make_poly,
     polar_chain,
-    rhs_sign_flip,
     run_suite,
     sharpness_probe,
     sth_derivative,
@@ -29,6 +28,7 @@ from polarineq import (
 from polarineq.cli import main
 from polarineq.extrema import circle_extremum
 from polarineq.generators import random_zeros_poly_with_roots
+from polarineq.inequalities import rhs_sign_flip
 from polarineq.poly import evaluate, scale
 
 

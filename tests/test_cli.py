@@ -151,7 +151,7 @@ def test_fuzz_cli_clean(capsys):
 
 
 def test_fuzz_cli_violation_exit_code(capsys):
-    from polarineq import rhs_sign_flip
+    from polarineq.inequalities import rhs_sign_flip
 
     with rhs_sign_flip("TE2"):
         rc = main(["fuzz", "--ineq", "TE2", "--budget", "100", "--seed", "7"])

@@ -15,12 +15,12 @@ from polarineq import (
     fuzz_search,
     regenerate_instance,
     replay_witness,
-    rhs_sign_flip,
     run_suite,
 )
 from polarineq import harness, inequalities
 from polarineq.cli import main
 from polarineq.harness import emit_report, report_to_csv, report_to_json
+from polarineq.inequalities import rhs_sign_flip
 
 
 def test_run_suite_te1_fifty_trials():

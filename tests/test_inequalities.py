@@ -26,8 +26,8 @@ from polarineq import (
     check_inequality,
     evaluate_sides,
     make_poly,
+    polar_chain,
     poly_from_roots,
-    rhs_sign_flip,
     sharpness_probe,
 )
 from polarineq.generators import (
@@ -36,8 +36,20 @@ from polarineq.generators import (
     extremal_poly_with_roots,
     random_zeros_poly_with_roots,
 )
-from polarineq.harness import regenerate_instance, replay_witness, run_suite
-from polarineq.inequalities import DEFAULT_RADII, ZOOM_LEVELS, ZOOM_POINTS, _oriented_slack
+from polarineq.harness import (
+    FUZZ_RADII,
+    _run_trial,
+    regenerate_instance,
+    replay_witness,
+    run_suite,
+)
+from polarineq.inequalities import (
+    DEFAULT_RADII,
+    ZOOM_LEVELS,
+    ZOOM_POINTS,
+    _oriented_slack,
+    rhs_sign_flip,
+)
 from polarineq import poly as poly_module
 from polarineq.poly import evaluate, horner, modulus_bound, scale, sth_derivative
 
@@ -193,7 +205,7 @@ def test_e3_equality_family_slack():
 
 def test_evaluate_sides_domain_checks():
     inst = _te1_instance()
-    with pytest.raises(ValueError, match="too large"):
+    with pytest.raises(ValueError, match="domain"):
         evaluate_sides(inst, 2e3)
     with pytest.raises(ValueError, match="domain"):
         evaluate_sides(inst, 0.5)
@@ -203,6 +215,27 @@ def test_evaluate_sides_domain_checks():
     )
     with pytest.raises(ValueError, match="domain"):
         evaluate_sides(le2, 1.5)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [(1.0 - 5e-10) * complex(math.cos(0.3), math.sin(0.3)), complex(math.nan, 0.0)],
+    ids=["below_the_sweep_floor", "nan"],
+)
+def test_replay_refuses_a_point_no_sweep_may_visit(z):
+    # The sweep's radii start at 1 - 1e-12, so no witness lies at 1 - 5e-10,
+    # and a NaN z has no modulus to check.
+    with pytest.raises(ValueError, match="domain"):
+        replay_witness("TE2", 1, 0, z)
+
+
+def test_evaluate_sides_rejects_a_non_finite_side():
+    inst = _te1_instance()
+    inst.defn = dataclasses.replace(
+        inst.defn, sides=lambda inst_, z: (np.abs(z), np.full(np.shape(z), math.nan))
+    )
+    with pytest.raises(ValueError, match=r"TE1: slack is not finite at z = "):
+        evaluate_sides(inst, 1.5)
 
 
 def test_check_rejects_bad_angles_and_radii():
@@ -343,10 +376,16 @@ def test_non_finite_parameter_only_sides_are_an_error(rhs):
 
 def test_every_witness_replays_to_its_slack():
     # A retired bracket keeps the (slack, z) pair it sampled, so each
-    # record's witness reproduces its min_slack.
-    rep = run_suite(list(INEQUALITY_IDS), 4, seed=42)
-    for r in rep.records:
-        slack = replay_witness(r.ineq_id, r.seed, r.trial, r.witness_z)
+    # record's witness reproduces its min_slack; the fuzz witnesses show that
+    # a replay accepts every point either sweep visits.
+    suite = [(r, False) for r in run_suite(list(INEQUALITY_IDS), 4, seed=42).records]
+    fuzz = [
+        (_run_trial(ineq_id, 100, trial, FUZZ_RADII, 256, 1e-8, aggressive=True), True)
+        for ineq_id in INEQUALITY_IDS
+        for trial in range(8)
+    ]
+    for r, aggressive in suite + fuzz:
+        slack = replay_witness(r.ineq_id, r.seed, r.trial, r.witness_z, aggressive=aggressive)
         assert abs(slack - r.min_slack) <= 4 * np.finfo(float).eps * r.scale, r
 
 
@@ -692,11 +731,11 @@ def test_chain_without_polar_points_is_the_derivative(ineq_id):
     inst = regenerate_instance(ineq_id, 3, 0)
     assert inst.chain_p == sth_derivative(inst.p, inst.spec.s)
     if inst.f is not None:
-        assert inst.chain_f == sth_derivative(inst.f, inst.spec.s)
+        assert polar_chain(inst.f, inst.spec) == sth_derivative(inst.f, inst.spec.s)
 
 
 # The entries whose sides read the chain combo |z^s * chain + lc * poly|, and
-# the (poly, chain, combo) attributes each reads.
+# the polynomial attributes whose combos each reads.
 _COMBO_READS = {
     "TE1": ("p", "f"), "CE1": ("p",), "CE2": ("p",), "CE3": ("p", "f"),
     "CE4": ("p",), "CE5": ("p",), "CE_S1": ("p", "f"), "TE2": ("p",),
@@ -706,8 +745,8 @@ _COMBO_READS = {
 
 
 def _combo_parts(inst, which):
-    return (getattr(inst, which), getattr(inst, f"chain_{which}"),
-            getattr(inst, f"combo_{which}"))
+    poly = getattr(inst, which)
+    return poly, polar_chain(poly, inst.spec), getattr(inst, f"combo_{which}")
 
 
 @pytest.mark.parametrize("ineq_id", sorted(_COMBO_READS))
