@@ -19,10 +19,18 @@ is that limit, so ``polar_chain`` gives ``P^(s)``, ``lambda_product`` gives
 entry is therefore its chain-form entry without polar points, and entries
 with the same side form share one evaluator: CE1, CE2, CE4 and CE5 (Max for
 an upper bound, Min for a lower one); TE1, CE_S1 and CE3; E2 and E4; E3 and
-E5; LE2 and LE4; TE3 and CE11; CE7 and CE8.  The dominated-pair premise
+E5; LE2 and LE4; TE3 and CE11; CE7 and CE8.  LE5 is TE2's two-term lemma,
+so its sides are TE2's with the reflected combo added on the left and the
+bound doubled on the right (doubling is exact).  The dominated-pair premise
 (``|P| <= |F|`` on ``|z| = k``, all zeros of F in ``|z| <= k``) lives in
 ``InequalityDef.pair``, and ``build_instance`` checks it for every pair
 entry; the other entries name P's zero hypothesis in ``zero_mode``.
+
+Per-entry behaviour lives in the registry alone: no side evaluator reads
+module state or its entry's id.  An instance keeps the entry it was built
+with, so a mutation test swaps ``REGISTRY[id]`` for a copy with other sides
+(``dataclasses.replace``), and every instance built while the copy is in
+place is scored by it.
 
 The chain combo ``|z^s chain + beta n_s Lambda_s / (1+k)^s poly|`` that
 TE1, CE1-CE5, CE_S1, TE2, TE3, CE7, CE8, CE11 and LE5 read is one cached
@@ -42,7 +50,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
@@ -103,25 +112,6 @@ ZOOM_VERTEX_SHRINK = 512.0
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, ZOOM_POINTS)
 # Shared by every report whose entry has no ``tally``.
 NO_EXTRA: Mapping = MappingProxyType({})
-
-# Test seam: ids listed here get the T1 term of ``_chain_brackets`` negated.
-# Used only to prove the checkers are not vacuous (mutation sensitivity).
-_RHS_SIGN_FLIPS: set[str] = set()
-
-
-@contextlib.contextmanager
-def rhs_sign_flip(ineq_id: str):
-    """Temporarily negate the T1 bracket of ``ineq_id``'s right side.
-
-    T1 is negated in ``_chain_brackets``, so the seam reaches the entries
-    whose right side is built from it: TE2, TE3, CE11 and LE5.
-    """
-    _RHS_SIGN_FLIPS.add(ineq_id)
-    try:
-        yield
-    finally:
-        _RHS_SIGN_FLIPS.discard(ineq_id)
-
 
 class HypothesisError(ValueError):
     """An inequality instance does not satisfy its stated premises."""
@@ -321,9 +311,7 @@ def _sides_awe(inst, z):
 
 
 def _sides_te1(inst, z):
-    lhs = _abs_eval(inst.combo_p, z)
-    rhs = _abs_eval(inst.combo_f, z)
-    return lhs, rhs
+    return _abs_eval(inst.combo_p, z), _abs_eval(inst.combo_f, z)
 
 
 def _sides_ce1(inst, z):
@@ -342,10 +330,7 @@ def _t1(inst, z):
 
 def _chain_brackets(inst, z):
     # T1 and T2 = |z^s + cb|
-    t1 = _t1(inst, z)
-    if inst.defn.ineq_id in _RHS_SIGN_FLIPS:
-        t1 = -t1
-    return t1, np.abs(z ** inst.spec.s + inst.cb)
+    return _t1(inst, z), np.abs(z ** inst.spec.s + inst.cb)
 
 
 def _sides_te2(inst, z):
@@ -394,8 +379,7 @@ def _sides_ce10(inst, z):
 def _sides_le2_le4(inst, z):
     lhs = _abs_eval(inst.chain_p, z)
     factor = inst.ns * inst.lam / (1.0 + inst.spec.k) ** inst.spec.s
-    rhs = factor * _abs_eval(inst.p, z)
-    return lhs, rhs
+    return lhs, factor * _abs_eval(inst.p, z)
 
 
 def _sides_le3(inst, z):
@@ -405,15 +389,14 @@ def _sides_le3(inst, z):
 
 
 def _sides_le5(inst, z):
-    # The reflected term applies the chain to k^n * Q(z/k^2) as a polynomial
-    # in z (the chain is linear, so this is what the dominated-pair argument
-    # actually bounds); chaining Q first and substituting z/k^2 afterwards is
-    # a different quantity for k < 1 and fails at random instances.
-    first = _abs_eval(inst.combo_p, z)
-    second = _abs_eval(inst.combo_q_rescaled, z)
-    t1, t2 = _chain_brackets(inst, z)
-    rhs = inst.ns * (t1 + t2) * inst.max_p(inst.spec.k)
-    return first + second, rhs
+    # TE2's left side plus the reflected term, against twice TE2's bound
+    # (doubling is exact).  The reflected term applies the chain to
+    # k^n * Q(z/k^2) as a polynomial in z (the chain is linear, so this is
+    # what the dominated-pair argument actually bounds); chaining Q first and
+    # substituting z/k^2 afterwards is a different quantity for k < 1 and
+    # fails at random instances.
+    lhs, rhs = _sides_te2(inst, z)
+    return lhs + _abs_eval(inst.combo_q_rescaled, z), 2.0 * rhs
 
 
 def _witness_dp_max(inst):
@@ -546,6 +529,25 @@ _DEFS = [
 
 REGISTRY: dict[str, InequalityDef] = {d.ineq_id: d for d in _DEFS}
 INEQUALITY_IDS: tuple[str, ...] = tuple(d.ineq_id for d in _DEFS)
+
+
+@contextlib.contextmanager
+def rhs_sign_flip(ineq_id: str):
+    """Temporarily swap the two sides of ``ineq_id``'s registry entry.
+
+    ``REGISTRY[ineq_id]`` becomes a copy whose ``sides`` returns
+    ``(rhs, lhs)``, so every valid instance built inside the block fails;
+    the entry is restored on exit, and instances built before the block keep
+    the entry they were built with.  Kept for the benchmark's self-tests
+    until their workloads move (ROADMAP item 9); tests swap entries through
+    their own fixture.
+    """
+    defn = REGISTRY[ineq_id]
+    REGISTRY[ineq_id] = replace(defn, sides=lambda inst, z: defn.sides(inst, z)[::-1])
+    try:
+        yield
+    finally:
+        REGISTRY[ineq_id] = defn
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +717,17 @@ def check_sweep_options(radii, angles_per_radius: int, tol_rel: float) -> tuple[
     Every radius must lie in the outside-disk domain ``[1 - 1e-12,
     Z_MODULUS_LIMIT]``; a unit-circle entry sweeps ``|z| = 1`` whatever the
     radii, and ``evaluate_sides`` holds a replayed point to the same rule.
-    Raises ValueError naming the option that is not valid.
+    ``angles_per_radius`` must be an integer (``operator.index``): a
+    fractional count would leave a short last gap.  Raises ValueError naming
+    the option that is not valid.
     """
     if not 0.0 < tol_rel < math.inf:
         raise ValueError(f"tol_rel must be finite and positive, got {tol_rel}")
-    if angles_per_radius < 256:
+    try:
+        angles = operator.index(angles_per_radius)
+    except TypeError:
+        raise ValueError(f"angles_per_radius must be an integer, got {angles_per_radius!r}") from None
+    if angles < 256:
         raise ValueError("angles_per_radius must be at least 256")
     out = tuple(float(r) for r in radii)
     if not out:

@@ -85,16 +85,13 @@ def polar_chain(p: Polynomial, spec: PolarSpec) -> Polynomial:
     Step j uses degree context ``n - j + 1`` by position, matching the chain
     recurrence.  With no polar points the chain is its derivative limit
     ``P^(s)`` (so s == 0 is the trivial passthrough).  The result has degree
-    at most ``n - s``.
+    at most ``n - s``; ``polar_derivative`` raises on a degree context below
+    P's degree.
     """
     if not spec.alphas:
         return sth_derivative(p, spec.s)
-    if spec.n < p.degree:
-        raise ValueError(f"degree context too small: {spec.n} < degree {p.degree}")
     out = p
     for j, alpha in enumerate(spec.alphas):
-        if out.is_zero:
-            break
         out = polar_derivative(out, spec.n - j, alpha)
     return out
 

@@ -134,8 +134,6 @@ def sth_derivative(p: Polynomial, s: int) -> Polynomial:
     if s < 0:
         raise ValueError(f"derivative order must be >= 0, got {s}")
     for _ in range(s):
-        if p.is_zero:
-            break
         p = derivative(p)
     return p
 

@@ -28,7 +28,7 @@ from polarineq import (
 from polarineq.cli import main
 from polarineq.extrema import circle_extremum
 from polarineq.generators import random_zeros_poly_with_roots
-from polarineq.inequalities import rhs_sign_flip
+from polarineq.inequalities import _chain_brackets
 from polarineq.poly import evaluate, scale
 
 
@@ -185,8 +185,14 @@ def test_criterion_7_oracle_equivalence():
     _announce(7, f"extrema match 2^18 scans (50 polys); winding counts agree ({counted} checks)")
 
 
-def test_criterion_8_mutation_sensitivity():
-    with rhs_sign_flip("TE2"):
+def _te2_with_t1_negated(inst, z):
+    # TE2's sides with the T1 bracket negated: (n_s/2){T2 - T1} Max.
+    t1, t2 = _chain_brackets(inst, z)
+    return np.abs(evaluate(inst.combo_p, z)), inst.ns / 2.0 * (t2 - t1) * inst.max_p(inst.spec.k)
+
+
+def test_criterion_8_mutation_sensitivity(swap_sides):
+    with swap_sides("TE2", _te2_with_t1_negated):
         hit = fuzz_search(["TE2"], budget=100, seed=7)
     assert hit is not None, "sign-flipped TE2 must be caught within 100 trials"
     assert hit["rel_slack"] < -1e-6

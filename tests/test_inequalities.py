@@ -240,8 +240,9 @@ def test_evaluate_sides_rejects_a_non_finite_side():
 
 def test_check_rejects_bad_angles_and_radii():
     inst = _te1_instance()
-    with pytest.raises(ValueError, match="angles"):
-        check_inequality(inst, angles_per_radius=100)
+    for angles in (100, 300.5):
+        with pytest.raises(ValueError, match="angles"):
+            check_inequality(inst, angles_per_radius=angles)
     with pytest.raises(ValueError, match="radius"):
         check_inequality(inst, radii=(0.5, 1.0))
 
@@ -499,7 +500,7 @@ def test_le5_dominates_te2():
         z = complex(np.exp(rng.uniform(0, np.log(3))) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
         l5, r5 = evaluate_sides(le5, z)
         l2, r2 = evaluate_sides(te2, z)
-        assert abs(r2 - 0.5 * r5) <= 1e-12 * r5  # same bound up to the 1/2
+        assert r5 == 2.0 * r2  # TE2's bound, doubled exactly
         assert l5 >= l2 - 1e-12 * max(l5, 1.0)  # two-term sum dominates
         assert l2 <= 0.5 * r5 + 1e-9 * r5
 
@@ -537,11 +538,33 @@ def test_te2_mutation_seam():
     cfg = GenConfig(n=5, k=0.5, seed=51, mode="zeros_outside_open_disk")
     p, roots = random_zeros_poly_with_roots(cfg)
     spec = PolarSpec(n=5, s=1, k=0.5, alphas=(1.0,), beta=0.5)
-    inst = build_instance("TE2", p, spec, roots=roots)
-    assert check_inequality(inst).passed
+    entry = REGISTRY["TE2"]
+    assert check_inequality(build_instance("TE2", p, spec, roots=roots)).passed
     with rhs_sign_flip("TE2"):
-        assert not check_inequality(inst).passed
-    assert check_inequality(inst).passed  # seam restored
+        assert not check_inequality(build_instance("TE2", p, spec, roots=roots)).passed
+    assert REGISTRY["TE2"] is entry
+    assert check_inequality(build_instance("TE2", p, spec, roots=roots)).passed  # seam restored
+
+
+@pytest.mark.parametrize("ineq_id", INEQUALITY_IDS)
+def test_a_bound_moved_past_its_margin_fails(ineq_id, swap_sides):
+    # Scale the right side toward violation by delta = 2 min_slack / rhs at the
+    # witness: the witness's slack becomes -min_slack, so the same trial must
+    # fail.  This is the smallest wrong constant the trial can tell apart.
+    rep = check_inequality(regenerate_instance(ineq_id, 42, 0))
+    assert rep.passed
+    defn = REGISTRY[ineq_id]
+    _, rhs = evaluate_sides(regenerate_instance(ineq_id, 42, 0), rep.witness_z)
+    delta = 2.0 * rep.min_slack / rhs
+    factor = 1.0 - delta if defn.direction == "upper" else 1.0 + delta
+
+    def moved(inst, z):
+        lhs, rhs = defn.sides(inst, z)
+        return lhs, factor * rhs
+
+    with swap_sides(ineq_id, moved):
+        assert not check_inequality(regenerate_instance(ineq_id, 42, 0)).passed
+    assert check_inequality(regenerate_instance(ineq_id, 42, 0)).passed
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,12 @@ def test_polar_chain_single_step_matches_polar_derivative():
     assert polar_chain(p, spec).coeffs == polar_derivative(p, 3, 1 + 1j).coeffs
 
 
+def test_polar_chain_rejects_a_degree_context_below_p():
+    spec = PolarSpec(n=2, s=1, k=1.0, alphas=(0.5,))
+    with pytest.raises(ValueError, match="degree context"):
+        polar_chain(make_poly([1, 1, 1, 1]), spec)
+
+
 def test_polar_chain_degree_bound():
     rng = np.random.default_rng(8)
     for _ in range(20):
