@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -111,6 +112,20 @@ def _validate_ids(ineq_ids: Sequence[str]) -> tuple[str, ...]:
             f"valid ids: {', '.join(INEQUALITY_IDS)}"
         )
     return ids
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """``value`` as an int, once it is an integer (``operator.index``) >= ``least``.
+
+    UsageError otherwise, so a fractional count is refused before any trial.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise UsageError(f"{name} must be >= {least}, got {count}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +271,7 @@ def run_suite(
 ) -> SuiteReport:
     """Randomized hypothesis-satisfying trials for each id, aggregated."""
     ids = _validate_ids(ineq_ids)
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    trials, seed = _check_count("trials", trials, 1), _check_count("seed", seed, 0)
     try:
         radii = check_sweep_options(radii, angles_per_radius, tol_rel)
     except ValueError as exc:
@@ -317,10 +329,7 @@ def fuzz_search(
     theorems being true, any hit is triaged as a numerics defect first.
     """
     ids = _validate_ids(ineq_ids)
-    if budget < 0:
-        raise UsageError(f"budget must be >= 0, got {budget}")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    budget, seed = _check_count("budget", budget, 0), _check_count("seed", seed, 0)
     for def_id in ids:
         for trial in range(budget):
             rec = _run_trial(def_id, seed, trial, FUZZ_RADII, 256, 1e-8, aggressive=True)

@@ -10,7 +10,11 @@ interpolation), until each bracket is flat to rounding, predicts no gain
 above rounding or cannot overtake.  A finite grid plus the zoom stands in
 for the continuum claim: pointwise modulus comparisons are smooth in the
 angle, so the zoom bounds the grid error.  ``sharpness_probe`` runs the
-same sweep on an equality family.
+same sweep on an equality family.  LE2 and LE4 are the only entries swept
+on ``|z| = 1`` alone.  E1-E5 compare two constants on ``|z| = 1``, the
+certified ``max |P'|`` and ``max |P|`` (``circle_extremum``), so they are
+parameter-only: one certified extremum per side, evaluated once, with the
+witness at the maximum of ``|P'|``.
 
 Each premise is stated once.  The derivative limit ``D_alpha P / alpha ->
 P'`` as ``|alpha| -> inf`` lives in ``polar``: a spec with no polar points
@@ -18,13 +22,17 @@ is that limit, so ``polar_chain`` gives ``P^(s)``, ``lambda_product`` gives
 1 and ``alpha_1...alpha_s`` is the empty product 1.  Each derivative-form
 entry is therefore its chain-form entry without polar points, and entries
 with the same side form share one evaluator: CE1, CE2, CE4 and CE5 (Max for
-an upper bound, Min for a lower one); TE1, CE_S1 and CE3; E2 and E4; E3 and
-E5; LE2 and LE4; TE3 and CE11; CE7 and CE8.  LE5 is TE2's two-term lemma,
-so its sides are TE2's with the reflected combo added on the left and the
-bound doubled on the right (doubling is exact).  The dominated-pair premise
-(``|P| <= |F|`` on ``|z| = k``, all zeros of F in ``|z| <= k``) lives in
-``InequalityDef.pair``, and ``build_instance`` checks it for every pair
-entry; the other entries name P's zero hypothesis in ``zero_mode``.
+an upper bound, Min for a lower one, times T1); TE1, CE_S1 and CE3; E2, E3,
+E4 and E5; AWE and CE9 (AWE is CE9 at k = 1, where dividing by k^n is
+exact); LE2 and LE4; TE3 and CE11; CE7 and CE8.  AE, AWE/CE9 and CE10 read
+one growth term ``|z|^(n-s) / k^n |alpha_1...alpha_s|``, and the refined
+bounds AWE/CE9, CE10, TE3/CE11 and CE7/CE8 one Max/Min bracket.  LE5 is
+TE2's two-term lemma, so its sides are TE2's with the reflected combo added
+on the left and the bound doubled on the right (doubling is exact).  The
+dominated-pair premise (``|P| <= |F|`` on ``|z| = k``, all zeros of F in
+``|z| <= k``) lives in ``InequalityDef.pair``, and ``build_instance`` checks
+it for every pair entry; the other entries name P's zero hypothesis in
+``zero_mode``.
 
 Per-entry behaviour lives in the registry alone: no side evaluator reads
 module state or its entry's id.  An instance keeps the entry it was built
@@ -272,60 +280,46 @@ def _abs_eval(poly: Polynomial, z):
     return np.abs(evaluate(poly, z))
 
 
-def _const(z, value: float):
-    return np.full(np.shape(z), float(value))
-
-
 def _sides_e1(inst, z):
-    rhs = inst.spec.n * inst.max_p(1.0)
-    return _abs_eval(inst.deriv1_p, z), _const(z, rhs)
-
-
-def _sides_e4(inst, z):
-    # E2 too: at k = 1, n / (1+k) is n / 2 exactly.
-    rhs = inst.spec.n / (1.0 + inst.spec.k) * inst.max_p(1.0)
-    return _abs_eval(inst.deriv1_p, z), _const(z, rhs)
+    return inst.max_dp_unit(), inst.spec.n * inst.max_p(1.0)
 
 
 def _sides_e5(inst, z):
+    # E2, E3 and E4 too: at k = 1 (E2, E3), n / (1+k) is n / 2 exactly.
     return inst.max_dp_unit(), inst.spec.n / (1.0 + inst.spec.k) * inst.max_p(1.0)
 
 
+def _growth(inst, z):
+    # (|z|^(n-s) / k^n) |a1...as|, the growth factor of AE, AWE/CE9 and CE10
+    # (for CE10 the empty product, so its abs is exactly 1).
+    n, s, k = inst.spec.n, inst.spec.s, inst.spec.k
+    return np.abs(z) ** (n - s) / k ** n * abs(inst.alpha_prod)
+
+
 def _sides_ae(inst, z):
-    lhs = _abs_eval(inst.chain_p, z)
-    grow = np.abs(inst.alpha_prod) * np.abs(z) ** (inst.spec.n - inst.spec.s)
-    rhs = inst.ns / 2.0 * (grow + 1.0) * inst.max_p(1.0)
-    return lhs, rhs
+    rhs = inst.ns / 2.0 * (_growth(inst, z) + 1.0) * inst.max_p(1.0)
+    return _abs_eval(inst.chain_p, z), rhs
 
 
 def _max_min_bracket(inst, a, b, radius):
     # (n_s/2){(a+b) Max - (a-b) Min} on |z| = radius: the right side of the
-    # refined bounds AWE, TE3/CE11, CE7/CE8 and CE9.
+    # refined bounds AWE/CE9, CE10, TE3/CE11 and CE7/CE8.
     return inst.ns / 2.0 * ((a + b) * inst.max_p(radius) - (a - b) * inst.min_p(radius))
-
-
-def _sides_awe(inst, z):
-    lhs = _abs_eval(inst.chain_p, z)
-    grow = np.abs(inst.alpha_prod) * np.abs(z) ** (inst.spec.n - inst.spec.s)
-    return lhs, _max_min_bracket(inst, grow, 1.0, 1.0)
 
 
 def _sides_te1(inst, z):
     return _abs_eval(inst.combo_p, z), _abs_eval(inst.combo_f, z)
 
 
-def _sides_ce1(inst, z):
-    # Max of |P| on |z| = k bounds an upper entry, Min a lower one.
-    extreme = inst.max_p if inst.defn.direction == "upper" else inst.min_p
-    lhs = _abs_eval(inst.combo_p, z)
-    amp = np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n
-    rhs = inst.ns * amp * abs(inst.alpha_prod + inst.cb) * extreme(inst.spec.k)
-    return lhs, rhs
-
-
 def _t1(inst, z):
     # T1 = (|z|^n / k^n) |a1...as + cb|
     return np.abs(z) ** inst.spec.n / inst.spec.k ** inst.spec.n * abs(inst.alpha_prod + inst.cb)
+
+
+def _sides_ce1(inst, z):
+    # Max of |P| on |z| = k bounds an upper entry, Min a lower one.
+    extreme = inst.max_p if inst.defn.direction == "upper" else inst.min_p
+    return _abs_eval(inst.combo_p, z), inst.ns * _t1(inst, z) * extreme(inst.spec.k)
 
 
 def _chain_brackets(inst, z):
@@ -334,16 +328,13 @@ def _chain_brackets(inst, z):
 
 
 def _sides_te2(inst, z):
-    lhs = _abs_eval(inst.combo_p, z)
     t1, t2 = _chain_brackets(inst, z)
-    rhs = inst.ns / 2.0 * (t1 + t2) * inst.max_p(inst.spec.k)
-    return lhs, rhs
+    return _abs_eval(inst.combo_p, z), inst.ns / 2.0 * (t1 + t2) * inst.max_p(inst.spec.k)
 
 
 def _sides_te3(inst, z):
-    lhs = _abs_eval(inst.combo_p, z)
     t1, t2 = _chain_brackets(inst, z)
-    return lhs, _max_min_bracket(inst, t1, t2, inst.spec.k)
+    return _abs_eval(inst.combo_p, z), _max_min_bracket(inst, t1, t2, inst.spec.k)
 
 
 def _tally_min_term_signs(inst, z):
@@ -360,20 +351,12 @@ def _sides_ce7(inst, z):
 
 
 def _sides_ce9(inst, z):
-    lhs = _abs_eval(inst.chain_p, z)
-    v = np.abs(z) ** (inst.spec.n - inst.spec.s) / inst.spec.k ** inst.spec.n * abs(
-        inst.alpha_prod
-    )
-    return lhs, _max_min_bracket(inst, v, 1.0, inst.spec.k)
+    # AWE too: at k = 1, dividing by k^n is exact.
+    return _abs_eval(inst.chain_p, z), _max_min_bracket(inst, _growth(inst, z), 1.0, inst.spec.k)
 
 
 def _sides_ce10(inst, z):
-    lhs = _abs_eval(inst.chain_p, z)
-    amp = inst.ns * np.abs(z) ** (inst.spec.n - inst.spec.s) / (
-        2.0 * inst.spec.k ** inst.spec.n
-    )
-    rhs = amp * (inst.max_p(inst.spec.k) - inst.min_p(inst.spec.k))
-    return lhs, rhs
+    return _abs_eval(inst.chain_p, z), _max_min_bracket(inst, _growth(inst, z), 0.0, inst.spec.k)
 
 
 def _sides_le2_le4(inst, z):
@@ -410,13 +393,14 @@ def _witness_dp_max(inst):
 
 _DEFS = [
     InequalityDef(
-        "E1", "max |P'| <= n max |P| on |z|=1", "upper", "unit_circle",
-        _sides_e1, k_regime="any", fixed_s=0, extremal=("power",),
+        "E1", "max |P'| <= n max |P| on |z|=1", "upper", "parameter_only",
+        _sides_e1, k_regime="any", fixed_s=0, witness_hint=_witness_dp_max,
+        extremal=("power",),
     ),
     InequalityDef(
         "E2", "P != 0 in |z|<1: max |P'| <= (n/2) max |P| on |z|=1", "upper",
-        "unit_circle", _sides_e4, zero_mode="zeros_outside_open_disk", k_regime="unit",
-        fixed_s=0, extremal=("erdos_lax",),
+        "parameter_only", _sides_e5, zero_mode="zeros_outside_open_disk", k_regime="unit",
+        fixed_s=0, witness_hint=_witness_dp_max, extremal=("erdos_lax",),
     ),
     InequalityDef(
         "E3", "all zeros in |z|<=1: max |P'| >= (n/2) max |P|", "lower",
@@ -425,8 +409,8 @@ _DEFS = [
     ),
     InequalityDef(
         "E4", "P != 0 in |z|<k, k>=1: max |P'| <= n/(1+k) max |P| on |z|=1",
-        "upper", "unit_circle", _sides_e4, zero_mode="zeros_outside_open_disk",
-        k_regime="at_least_one", fixed_s=0,
+        "upper", "parameter_only", _sides_e5, zero_mode="zeros_outside_open_disk",
+        k_regime="at_least_one", fixed_s=0, witness_hint=_witness_dp_max,
     ),
     InequalityDef(
         "E5", "all zeros in |z|<=k, k<=1: max |P'| >= n/(1+k) max |P|", "lower",
@@ -440,7 +424,7 @@ _DEFS = [
     ),
     InequalityDef(
         "AWE", "AE refined by the subtracted minimum term", "upper",
-        "outside_unit_disk", _sides_awe, zero_mode="zeros_outside_open_disk",
+        "outside_unit_disk", _sides_ce9, zero_mode="zeros_outside_open_disk",
         k_regime="unit", needs_alphas=True, extremal=("half",),
     ),
     InequalityDef(

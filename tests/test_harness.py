@@ -56,6 +56,17 @@ def test_negative_seed_is_a_usage_error():
         fuzz_search(["E1"], 1, seed=-3)
 
 
+def test_fractional_count_is_a_usage_error():
+    # trials, budget and seed are integers (operator.index), so a float is
+    # refused before the first trial, not a TypeError from inside one.
+    with pytest.raises(UsageError, match=r"^trials must be an integer, got 2\.5$"):
+        run_suite(["E1"], 2.5, 1)
+    with pytest.raises(UsageError, match=r"^budget must be an integer, got 2\.5$"):
+        fuzz_search(["E1"], 2.5, 1)
+    with pytest.raises(UsageError, match=r"^seed must be an integer, got 1\.5$"):
+        run_suite(["E1"], 2, 1.5)
+
+
 def test_reports_byte_identical_across_runs():
     a = run_suite(["E2", "LE4"], 4, seed=11)
     b = run_suite(["E2", "LE4"], 4, seed=11)
@@ -69,10 +80,10 @@ def test_report_bytes_pinned():
     # the old and new hashes in CHANGES.md and updates them here.
     rep = run_suite(list(INEQUALITY_IDS), 1, seed=42)
     assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == (
-        "70c17eed40a0f4dafd09efa9a81e7702d8f8fb96d20c279389f808f2d7a12abe"
+        "f6deb0b0ddf6af49bf8a3075a81d6b807a7b72940aa6d573085d196766a9497e"
     )
     assert hashlib.sha256(report_to_csv(rep).encode()).hexdigest() == (
-        "9854c812040fa6ddb810881e042a1416356aa7274e02ae64dae1f35ff44cce03"
+        "ea3d607fd6614459826ad4229e5c18c5b81501d14f8ea0a92a34b22255add0f6"
     )
 
 
